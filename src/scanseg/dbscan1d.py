@@ -6,6 +6,11 @@ noise) reduce to interval bookkeeping.  Two monotone sweep pointers find
 all neighborhood bounds in linear time and cluster expansion touches each
 point at most twice, which keeps the whole pass at O(N) after the sort.
 
+Every function here has two paths with bit-identical results.  A call
+that passes ``counters=`` runs that counted O(N) sweep and adds its work
+to the counters.  Any other call runs the vectorized NumPy path of
+:mod:`scanseg._kernels`, which is O(N log N) but far faster in practice.
+
 Neighborhoods are closed: a point at distance exactly ``epsilon`` counts.
 A circular variant treats values as positions on a ring of a given period,
 with neighborhood ranges allowed to wrap around the seam.
@@ -232,7 +237,7 @@ def _checked_values(values) -> np.ndarray:
         raise ValueError(f"values must be one-dimensional, got shape {x.shape}")
     if x.size and not np.isfinite(x).all():
         raise ValueError("values must be finite")
-    if x.size > 1 and np.any(np.diff(x) < 0.0):
+    if x.size > 1 and np.any(x[1:] < x[:-1]):
         raise UnsortedInputError("values must be sorted in ascending order")
     return x
 
@@ -260,15 +265,17 @@ def calculate_neighborhood(
     """Compute all epsilon-neighborhood bounds of a sorted array.
 
     Returns a table whose closed range ``lower[i] .. upper[i]`` holds the
-    neighbors of point ``i``.  Runs in one forward and one backward pointer
-    sweep, exactly 2 * N counted steps.
+    neighbors of point ``i``.  With ``counters`` it runs one forward and
+    one backward pointer sweep, exactly 2 * N counted steps.
     """
     x = _checked_values(values)
     epsilon = _checked_epsilon(epsilon)
     lower = np.empty(x.size, np.int64)
     upper = np.empty(x.size, np.int64)
-    steps = _k.linear_bounds(x, epsilon, lower, upper)
-    if counters is not None:
+    if counters is None:
+        _k.linear_bounds_vec(x, epsilon, lower, upper)
+    else:
+        steps = _k.linear_bounds(x, epsilon, lower, upper)
         counters.neighborhood_steps += int(steps)
     return NeighborhoodTable(lower, upper)
 
@@ -291,8 +298,10 @@ def calculate_neighborhood_circular(
     _checked_circular(x, epsilon, domain)
     lower = np.empty(x.size, np.int64)
     upper = np.empty(x.size, np.int64)
-    steps = _k.circular_bounds(x, epsilon, domain.period, lower, upper)
-    if counters is not None:
+    if counters is None:
+        _k.circular_bounds_vec(x, epsilon, domain.period, lower, upper)
+    else:
+        steps = _k.circular_bounds(x, epsilon, domain.period, lower, upper)
         counters.neighborhood_steps += int(steps)
     return NeighborhoodTable(lower, upper, domain.period)
 
@@ -343,6 +352,45 @@ def _run(
     out_labels: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ClusterSequence]:
     n = x.size
+    labels = np.empty(n, np.int64) if out_labels is None else out_labels
+    if counters is None:
+        lo, hi = _run_vec(x, params, domain, scratch, labels)
+    else:
+        lo, hi = _run_counted(x, params, domain, scratch, counters, labels)
+    if domain is not None and lo.size:
+        wrapped = lo < 0
+        if wrapped.any():
+            lo[wrapped] += n
+            hi[wrapped] += n
+    return labels, ClusterSequence(lo, hi)
+
+
+def _run_vec(x, params, domain, scratch, labels):
+    n = x.size
+    if scratch is None:
+        # only the bounds: the vector path needs no n-sized range scratch
+        lower = np.empty(n, np.int64)
+        upper = np.empty(n, np.int64)
+    else:
+        scratch.reserve(n)
+        lower = scratch.lower[:n]
+        upper = scratch.upper[:n]
+    if domain is None:
+        _k.linear_bounds_vec(x, params.epsilon, lower, upper)
+    else:
+        _k.circular_bounds_vec(x, params.epsilon, domain.period, lower, upper)
+    return _k.dbscan_vec(
+        lower,
+        upper,
+        params.min_points,
+        _POLICY_CODE[params.border_policy],
+        labels,
+        domain is not None,
+    )
+
+
+def _run_counted(x, params, domain, scratch, counters, labels):
+    n = x.size
     if scratch is None:
         scratch = DbscanScratch(n)
     else:
@@ -353,11 +401,7 @@ def _run(
         steps = _k.linear_bounds(x, params.epsilon, lower, upper)
     else:
         steps = _k.circular_bounds(x, params.epsilon, domain.period, lower, upper)
-    if out_labels is None:
-        labels = np.zeros(n, np.int64)
-    else:
-        labels = out_labels
-        labels[:n] = NOT_VISITED
+    labels[:] = NOT_VISITED
     count, touches = _k.dbscan_sweep(
         lower,
         upper,
@@ -368,17 +412,9 @@ def _run(
         scratch.range_hi,
         domain is not None,
     )
-    if counters is not None:
-        counters.neighborhood_steps += int(steps)
-        counters.expand_touches += int(touches)
-    lo = scratch.range_lo[:count].copy()
-    hi = scratch.range_hi[:count].copy()
-    if domain is not None and count:
-        wrapped = lo < 0
-        if wrapped.any():
-            lo[wrapped] += n
-            hi[wrapped] += n
-    return labels, ClusterSequence(lo, hi)
+    counters.neighborhood_steps += int(steps)
+    counters.expand_touches += int(touches)
+    return scratch.range_lo[:count].copy(), scratch.range_hi[:count].copy()
 
 
 def dbscan_1d(
@@ -388,7 +424,7 @@ def dbscan_1d(
     scratch: DbscanScratch | None = None,
     counters: OpCounters | None = None,
 ) -> tuple[np.ndarray, ClusterSequence]:
-    """Cluster sorted values in linear time.
+    """Cluster sorted values (in linear time on the counted path).
 
     Returns ``(labels, clusters)``: labels holds -1 for noise and 1-based
     cluster ids for members, clusters the absorbed index ranges in

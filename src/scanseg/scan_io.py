@@ -272,8 +272,24 @@ def _cast_ray(vertices: np.ndarray, px: float, py: float, angle: float) -> tuple
             best_t = t
             best_edge = i
     if best_edge < 0:
-        raise RuntimeError("ray escaped the polygon; room model is inconsistent")
+        # the beam runs through a vertex and rounding put its hit just
+        # outside both edges that meet there: the vertex is the hit
+        return _vertex_hit(vertices, px, py, ux, uy)
     return best_t, best_edge
+
+
+def _vertex_hit(
+    vertices: np.ndarray, px: float, py: float, ux: float, uy: float
+) -> tuple[float, int]:
+    """Distance to the vertex nearest the beam direction, and its lower edge."""
+    dx = vertices[:, 0] - px
+    dy = vertices[:, 1] - py
+    dist = np.hypot(dx, dy)
+    ahead = ux * dx + uy * dy > 0.0
+    offset = np.where(ahead, np.abs(ux * dy - uy * dx) / dist, np.inf)
+    i = int(np.argmin(offset))
+    # vertex i closes edge i - 1 and opens edge i; ties pick the lowest edge
+    return float(dist[i]), (i - 1 if i else 0)
 
 
 def generate_scan(

@@ -53,10 +53,9 @@ def angdist(a, b, period=2 * np.pi):
     return min(d, period - d)
 
 
-def test_criterion_1_oracle_equivalence():
-    """Labels of both fast paths match the definitional oracle exactly."""
+def criterion_1_corpus():
+    """The 1200 instances of criterion 1: (x, eps, min_points, policy, period)."""
     rng = np.random.default_rng(1)
-    instances = 0
     for trial in range(1200):
         n = int(rng.integers(1, 201))
         lattice = trial % 2 == 0
@@ -70,9 +69,7 @@ def test_criterion_1_oracle_equivalence():
             if lattice:
                 x = np.round(x, 1)
                 eps = round(eps, 1)
-            x = np.sort(x)
-            got, _ = dbscan_1d(x, DbscanParams(eps, mp, policy))
-            want = naive_dbscan(x, eps, mp, border_policy=policy)
+            yield np.sort(x), eps, mp, policy, None
         else:
             period = float(rng.random() * 9 + 1)
             x = rng.random(n) * period
@@ -80,15 +77,35 @@ def test_criterion_1_oracle_equivalence():
             if lattice:
                 x = np.round(x, 1)
                 x[x >= period] = 0.0
-            x = np.sort(x)
-            got, _ = dbscan_1d_circular(
-                x, DbscanParams(eps, mp, policy), CircularDomain(period)
-            )
-            want = naive_dbscan(x, eps, mp, period=period, border_policy=policy)
+            yield np.sort(x), eps, mp, policy, period
+
+
+def cluster(x, eps, mp, policy, period, counters=None):
+    params = DbscanParams(eps, mp, policy)
+    if period is None:
+        return dbscan_1d(x, params, counters=counters)
+    return dbscan_1d_circular(x, params, CircularDomain(period), counters=counters)
+
+
+def test_criterion_1_oracle_equivalence():
+    """Labels of both fast paths match the definitional oracle exactly."""
+    instances = 0
+    for x, eps, mp, policy, period in criterion_1_corpus():
+        got, _ = cluster(x, eps, mp, policy, period)
+        want = naive_dbscan(x, eps, mp, period=period, border_policy=policy)
         np.testing.assert_array_equal(got, want)
         instances += 1
     print(f"\n[1] oracle equivalence: {instances}/1200 instances exact")
     assert instances >= 1000
+
+
+def test_criterion_1_corpus_counted_sweep_agrees():
+    """On the same corpus the counted sweep gives the same labels and ranges."""
+    for x, eps, mp, policy, period in criterion_1_corpus():
+        labels, clusters = cluster(x, eps, mp, policy, period)
+        ref_labels, ref_clusters = cluster(x, eps, mp, policy, period, OpCounters())
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert clusters == ref_clusters
 
 
 def test_criterion_2_wraparound_bounds_bit_exact():

@@ -276,6 +276,24 @@ class TestGenerate:
         assert scan.full_circle
         assert scan.beams == 16
 
+    def test_beam_through_vertex(self, capsys):
+        # beam 22 points exactly at the first vertex, and rounding puts its
+        # hit just outside both edges that meet there
+        room = (
+            "1.1929359681354252,-1.7282661183766799;"
+            "1.013336302429576,2.394399619566115;"
+            "-1.767276605285984,-0.2843121531149318"
+        )
+        assert main(["generate", f"--room={room}", "--beams", "26"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "beams=26 full_circle=1"
+        assert len(lines) == 27
+        angle, distance, valid = lines[1 + 22].split()
+        vertex = (1.1929359681354252, -1.7282661183766799)
+        assert float(angle) == pytest.approx(np.arctan2(vertex[1], vertex[0]) % (2 * np.pi))
+        assert float(distance) == np.hypot(*vertex)
+        assert valid == "1"
+
 
 class TestBench:
     def test_scaling_csv(self, warmed, tmp_path, capsys):

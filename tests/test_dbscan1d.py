@@ -1,8 +1,10 @@
 """Sorted 1D density clustering: bounds, expansion, full runs, counters."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scanseg import (
     NOISE,
@@ -21,6 +23,8 @@ from scanseg import (
     expand_cluster,
     recluster_subrange,
 )
+from scanseg._kernels import VEC_BLOCK
+from scanseg.bench import generate_separated_clusters, scaling_epsilon
 from scanseg.oracle import density_reachable_closure, naive_dbscan, naive_neighborhood
 
 TWO_PI = 2.0 * np.pi
@@ -386,6 +390,134 @@ class TestOracleEquivalence:
             for p in cores:
                 closure, _ = density_reachable_closure(x, p, eps, mp)
                 np.testing.assert_array_equal(closure, members)
+
+
+@st.composite
+def edge_instance(draw, circular):
+    """(x, eps, period, min_points) placed on the predicate's rounding edges.
+
+    Lattice values with eps a multiple of the step, duplicate runs, gaps
+    of exactly eps, eps = 0 and single points; circular instances add
+    values one ulp below the period and eps one ulp below period / 2.
+    """
+    kind = draw(st.sampled_from(["lattice", "runs", "gaps", "single"]))
+    n = 1 if kind == "single" else draw(st.integers(1, 60))
+    if kind == "lattice":
+        step = draw(st.sampled_from([0.1, 0.25, 1.0 / 3.0, 0.7, 1e-3]))
+        x = np.array(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))) * step
+        eps = step * draw(st.integers(0, 4))
+    elif kind == "runs":
+        values = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
+        repeats = draw(st.lists(st.integers(1, 8), min_size=len(values), max_size=len(values)))
+        x = np.repeat(values, repeats)
+        eps = draw(st.floats(0.0, 3.0))
+    elif kind == "gaps":
+        eps = draw(st.sampled_from([0.1, 0.125, 0.3, 1.0, 2.0**-20]))
+        gaps = draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=n - 1, max_size=n - 1))
+        x = np.empty(n)
+        x[0] = eps * draw(st.integers(0, 50))
+        for i, g in enumerate(gaps, 1):
+            x[i] = x[i - 1] + g * eps
+    else:
+        x = np.array([draw(st.floats(0.0, 10.0))])
+        eps = draw(st.floats(0.0, 3.0))
+    if draw(st.integers(0, 4)) == 0:
+        eps = 0.0
+    period = None
+    if circular:
+        period = draw(st.sampled_from([1.0, np.pi, TWO_PI, 10.0, 0.7]))
+        x = np.mod(x, period)
+        x[x >= period] = 0.0
+        if draw(st.booleans()):
+            x = np.append(x, [np.nextafter(period, 0.0), 0.0])
+        if eps >= period / 2.0 or draw(st.integers(0, 5)) == 0:
+            eps = float(np.nextafter(period / 2.0, 0.0))
+    return np.sort(x), float(eps), period, draw(st.integers(1, 5))
+
+
+def assert_paths_agree(x, eps, period, mp):
+    """The default (vectorized) path matches the counted sweep bit for bit."""
+    if period is None:
+        fast = calculate_neighborhood(x, eps)
+        counted = calculate_neighborhood(x, eps, counters=OpCounters())
+    else:
+        domain = CircularDomain(period)
+        fast = calculate_neighborhood_circular(x, eps, domain)
+        counted = calculate_neighborhood_circular(x, eps, domain, counters=OpCounters())
+    np.testing.assert_array_equal(fast.lower, counted.lower)
+    np.testing.assert_array_equal(fast.upper, counted.upper)
+    for policy in POLICIES:
+        params = DbscanParams(eps, mp, policy)
+        if period is None:
+            labels, clusters = dbscan_1d(x, params)
+            ref_labels, ref_clusters = dbscan_1d(x, params, counters=OpCounters())
+        else:
+            labels, clusters = dbscan_1d_circular(x, params, domain)
+            ref_labels, ref_clusters = dbscan_1d_circular(
+                x, params, domain, counters=OpCounters()
+            )
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert clusters == ref_clusters
+
+
+class TestCountedPathEquivalence:
+    @settings(max_examples=300)
+    @given(edge_instance(circular=False))
+    def test_linear_edges(self, inst):
+        assert_paths_agree(*inst)
+
+    @settings(max_examples=300)
+    @given(edge_instance(circular=True))
+    def test_circular_edges(self, inst):
+        assert_paths_agree(*inst)
+
+    @given(sorted_values(max_size=80), st.floats(0.0, 4.0), st.integers(1, 5))
+    def test_linear_random(self, x, eps, mp):
+        assert_paths_agree(x, eps, None, mp)
+
+    @given(circular_instance())
+    def test_circular_random(self, inst):
+        x, eps, period, mp = inst
+        assert_paths_agree(x, eps, period, mp)
+
+    def test_larger_than_a_block(self):
+        # chains, duplicate runs and border points straddle block edges
+        n = 3 * VEC_BLOCK + 17
+        rng = np.random.default_rng(3)
+        x = np.sort(np.round(rng.random(n) * 4000.0, 2))
+        x[x >= 4000.0] = 0.0
+        x.sort()
+        for eps, mp in ((0.02, 4), (0.0, 2), (0.05, 12)):
+            assert_paths_agree(x, eps, None, mp)
+            assert_paths_agree(x, eps, 4000.0, mp)
+        # one duplicate run longer than a block
+        runs = np.repeat([0.0, 1.0, 1.5], [VEC_BLOCK + 5, 7, 100])
+        assert_paths_agree(runs, 0.5, None, 8)
+        assert_paths_agree(runs, 0.5, 3.0, 8)
+
+    def test_border_points_contested_across_the_seam(self):
+        # two clusters, one on each side of the seam, reach the same
+        # border points; the last cluster's reach runs past the seam
+        low = [0.0, 0.07, 0.09, 0.11, 0.11, 0.16, 0.16, 0.19]
+        high = [6.073, 6.073, 6.093, 6.093, 6.123, 6.133, 6.163, 6.183]
+        assert_paths_agree(np.array(low + high), 0.1, TWO_PI, 5)
+        x = np.array([0.0336, 0.0910, 0.1549, 0.1699, 0.1872, 6.1526, 6.1660, 6.1955, 6.2028, 6.2486])
+        assert_paths_agree(x, 0.1, TWO_PI, 4)
+
+    def test_peak_allocation_stays_within_three_arrays(self):
+        # the separated-cluster input of the linear-1m benchmark workload:
+        # labels, lower and upper plus at most one bool mask and small blocks
+        n = 1_000_000
+        rng = np.random.Generator(np.random.Philox(1))
+        x = np.sort(generate_separated_clusters(n, rng))
+        params = DbscanParams(scaling_epsilon(n), 4)
+        tracemalloc.start()
+        try:
+            dbscan_1d(x, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n + n + 2 * 2**20
 
 
 class TestRecluster:
