@@ -28,8 +28,19 @@ from .scan_io import NoiseModel, RoomModel, generate_scan, load_points, load_sca
 from .segmentation import SegmentationParams, angular_segmentation, fit_cluster_lines
 
 
+# rows formatted per write: one join per block keeps the per-row cost low
+# without building a whole output file in memory
+_WRITE_BLOCK = 8192
+
+
 def _out_stream(path):
     return open(path, "w", encoding="ascii") if path else sys.stdout
+
+
+def _row_blocks(*columns):
+    """The columns' rows as Python lists, _WRITE_BLOCK rows at a time."""
+    for start in range(0, len(columns[0]), _WRITE_BLOCK):
+        yield [c[start : start + _WRITE_BLOCK].tolist() for c in columns]
 
 
 def _cmd_cluster(args) -> int:
@@ -50,8 +61,8 @@ def _cmd_cluster(args) -> int:
     original_labels[order] = labels
     out = _out_stream(args.output)
     try:
-        for v, lab in zip(values, original_labels):
-            out.write(f"{float(v)!r}\t{int(lab)}\n")
+        for vs, labs in _row_blocks(values, original_labels):
+            out.write("".join(f"{v!r}\t{lab}\n" for v, lab in zip(vs, labs)))
         for c in clusters:
             out.write(f"# cluster id={c.id} lower={c.lower} upper={c.upper} size={c.size}\n")
     finally:
@@ -75,8 +86,8 @@ def _cmd_segment(args) -> int:
         labels[c.point_indices] = c.id
     out = _out_stream(args.output)
     try:
-        for lab in labels:
-            out.write(f"{int(lab)}\n")
+        for (labs,) in _row_blocks(labels):
+            out.write("".join(f"{lab}\n" for lab in labs))
     finally:
         if out is not sys.stdout:
             out.close()

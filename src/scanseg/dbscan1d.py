@@ -215,20 +215,26 @@ class ClusterSequence(Sequence):
 
 
 class DbscanScratch:
-    """Reusable work arrays so repeated runs skip reallocation."""
+    """Reusable work arrays so repeated runs skip reallocation.
+
+    lower/upper hold the neighborhood bounds; range_lo/range_hi hold the
+    counted sweep's cluster ranges and are allocated only when a counted
+    run needs them; the default NumPy path never does.
+    """
 
     def __init__(self, capacity: int = 0):
-        self._alloc(max(int(capacity), 1))
-
-    def _alloc(self, n: int) -> None:
-        self.lower = np.empty(n, np.int64)
-        self.upper = np.empty(n, np.int64)
-        self.range_lo = np.empty(n, np.int64)
-        self.range_hi = np.empty(n, np.int64)
+        self.lower = self.upper = self.range_lo = self.range_hi = np.empty(0, np.int64)
+        self.reserve(max(int(capacity), 1))
 
     def reserve(self, n: int) -> None:
         if self.lower.shape[0] < n:
-            self._alloc(n)
+            self.lower = np.empty(n, np.int64)
+            self.upper = np.empty(n, np.int64)
+
+    def _reserve_ranges(self, n: int) -> None:
+        if self.range_lo.shape[0] < n:
+            self.range_lo = np.empty(n, np.int64)
+            self.range_hi = np.empty(n, np.int64)
 
 
 def _checked_values(values) -> np.ndarray:
@@ -395,6 +401,7 @@ def _run_counted(x, params, domain, scratch, counters, labels):
         scratch = DbscanScratch(n)
     else:
         scratch.reserve(n)
+    scratch._reserve_ranges(n)
     lower = scratch.lower[:n]
     upper = scratch.upper[:n]
     if domain is None:

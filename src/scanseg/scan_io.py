@@ -11,7 +11,10 @@ Floats are written with repr, which round-trips every finite double
 exactly.  The generator ray-casts beams from a sensor pose inside a
 simple polygon and perturbs ranges with seeded multiplicative Gaussian
 noise; the RNG is the 64-bit counter-based Philox generator, so streams
-are reproducible bit for bit across platforms.
+are reproducible bit for bit across platforms.  Beams are cast in
+fixed-size blocks, each broadcast against all walls, with directions
+taken from math.cos/math.sin one beam at a time; scans are bit-identical
+to those of the earlier one-beam-at-a-time cast.
 """
 
 from __future__ import annotations
@@ -249,33 +252,50 @@ class NoiseModel:
             raise ValueError(f"dropout must be in [0, 1], got {self.dropout_probability}")
 
 
-def _cast_ray(vertices: np.ndarray, px: float, py: float, angle: float) -> tuple[float, int]:
-    """Distance and edge index of the nearest wall hit; ties pick the lowest edge."""
-    ux = math.cos(angle)
-    uy = math.sin(angle)
-    nv = vertices.shape[0]
-    best_t = math.inf
-    best_edge = -1
-    for i in range(nv):
-        ax, ay = vertices[i]
-        bx, by = vertices[(i + 1) % nv]
-        ex = bx - ax
-        ey = by - ay
-        denom = ux * ey - uy * ex
-        if denom == 0.0:
-            continue
-        apx = ax - px
-        apy = ay - py
-        t = (apx * ey - apy * ex) / denom
-        s = (apx * uy - apy * ux) / denom
-        if t > 0.0 and 0.0 <= s <= 1.0 and t < best_t:
-            best_t = t
-            best_edge = i
-    if best_edge < 0:
+# beams per broadcast block: bounds the (block, V) temporaries, so peak
+# memory does not grow with the beam count
+_BEAM_BLOCK = 4096
+
+
+def _cast_rays(
+    vertices: np.ndarray, px: float, py: float, angles: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distance and edge index of the nearest wall hit of every beam.
+
+    Beams go in blocks of _BEAM_BLOCK, each broadcast against all edges
+    with the float expressions of a one-beam-at-a-time cast, in the same
+    operand order, so every range is bit-identical to it.  Directions
+    come from math.cos/math.sin per beam, which may differ from numpy's
+    vectorized ones in the last ulp.  Ties pick the lowest edge.
+    """
+    ax = vertices[:, 0]
+    ay = vertices[:, 1]
+    ex = np.roll(ax, -1) - ax
+    ey = np.roll(ay, -1) - ay
+    apx = ax - px
+    apy = ay - py
+    t_num = apx * ey - apy * ex
+    ranges = np.empty(angles.size)
+    walls = np.empty(angles.size, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, angles.size, _BEAM_BLOCK):
+            rows = slice(start, start + _BEAM_BLOCK)
+            block = angles[rows].tolist()
+            ux = np.array([math.cos(a) for a in block])[:, None]
+            uy = np.array([math.sin(a) for a in block])[:, None]
+            denom = ux * ey - uy * ex
+            t = t_num / denom
+            s = (apx * uy - apy * ux) / denom
+            # a zero denom leaves s infinite or NaN, so the s test drops it
+            t[~((t > 0.0) & (s >= 0.0) & (s <= 1.0))] = np.inf
+            ranges[rows] = t.min(axis=1)
+            walls[rows] = t.argmin(axis=1)
+    for k in np.flatnonzero(ranges == np.inf).tolist():
         # the beam runs through a vertex and rounding put its hit just
         # outside both edges that meet there: the vertex is the hit
-        return _vertex_hit(vertices, px, py, ux, uy)
-    return best_t, best_edge
+        a = float(angles[k])
+        ranges[k], walls[k] = _vertex_hit(vertices, px, py, math.cos(a), math.sin(a))
+    return ranges, walls
 
 
 def _vertex_hit(
@@ -309,10 +329,7 @@ def generate_scan(
     px, py, heading = room.sensor
     angles = (heading + TWO_PI * np.arange(beams) / beams) % TWO_PI
     angles[angles >= TWO_PI] = 0.0
-    true_ranges = np.empty(beams)
-    wall_ids = np.empty(beams, dtype=np.int64)
-    for k in range(beams):
-        true_ranges[k], wall_ids[k] = _cast_ray(room.vertices, px, py, angles[k])
+    true_ranges, wall_ids = _cast_rays(room.vertices, px, py, angles)
     rng = np.random.Generator(np.random.Philox(noise.seed))
     gauss = rng.standard_normal(beams)
     uniform = rng.random(beams)

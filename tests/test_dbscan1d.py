@@ -270,6 +270,25 @@ class TestLinearRuns:
             np.testing.assert_array_equal(fresh[0], reused[0])
             assert list(fresh[1]) == list(reused[1])
 
+    def test_counted_scratch_reuse_matches_fresh(self):
+        rng = np.random.default_rng(6)
+        scratch = DbscanScratch(8)
+        params = DbscanParams(0.2, 3)
+        for _ in range(20):
+            x = np.sort(rng.random(int(rng.integers(0, 120))))
+            fresh_counters, reused_counters = OpCounters(), OpCounters()
+            fresh = dbscan_1d(x, params, counters=fresh_counters)
+            reused = dbscan_1d(x, params, scratch=scratch, counters=reused_counters)
+            np.testing.assert_array_equal(fresh[0], reused[0])
+            assert list(fresh[1]) == list(reused[1])
+            assert fresh_counters == reused_counters
+
+    def test_vector_path_allocates_no_range_scratch(self):
+        scratch = DbscanScratch(64)
+        x = np.sort(np.random.default_rng(7).random(64))
+        dbscan_1d(x, DbscanParams(0.1, 3), scratch=scratch)
+        assert scratch.range_lo.size == 0 and scratch.range_hi.size == 0
+
     def test_work_independent_of_epsilon(self):
         # fixed N: counter totals stay within 2x across four orders of eps
         rng = np.random.default_rng(11)
