@@ -106,6 +106,8 @@ def bench_scaling(sizes, trials: int = 3, seed: int = 0) -> BenchResult:
     sizes = [int(s) for s in sizes]
     if sizes != sorted(sizes) or not sizes:
         raise ValueError("sizes must be a non-empty ascending list")
+    if sizes[0] < 1:
+        raise ValueError("sizes must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _kernels.warmup()

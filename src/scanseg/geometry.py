@@ -4,7 +4,9 @@ Lines are kept in the polar normal form ``x cos(theta) + y sin(theta) = d``
 with d >= 0 and theta in [0, 2 pi).  A line through the origin has two
 equally valid antipodal normals, so its theta is reduced to [0, pi).
 Directions (as opposed to normals) are axial quantities and live in
-[0, pi) throughout.
+[0, pi) throughout.  The local direction at a scan point is the
+principal axis of its three-beam window; estimate_local_angles computes
+all windows of a scan in one vectorized pass, block by block.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ TWO_PI = 2.0 * math.pi
 # has no usable circular mean.
 ISO_TOL = 1e-12
 RESULTANT_TOL = 1e-9
+
+# Interior points whose windows estimate_local_angles gathers at once.
+_ANGLE_BLOCK = 8192
 
 
 class DegenerateLineError(ValueError):
@@ -204,79 +209,59 @@ def _principal_directions(sxx, syy, sxy) -> np.ndarray:
     return ang
 
 
-def _triplet_directions(px: np.ndarray, py: np.ndarray, ring: bool) -> np.ndarray:
-    """Principal direction of each (prev, self, next) point triplet.
-
-    For a ring every point has a triplet (wrapping both ends); otherwise
-    only the len(px) - 2 interior points do.
-    """
-    if ring:
-        x0, y0 = np.roll(px, 1), np.roll(py, 1)
-        x1, y1 = px, py
-        x2, y2 = np.roll(px, -1), np.roll(py, -1)
-    else:
-        x0, y0 = px[:-2], py[:-2]
-        x1, y1 = px[1:-1], py[1:-1]
-        x2, y2 = px[2:], py[2:]
-    cx = (x0 + x1 + x2) / 3.0
-    cy = (y0 + y1 + y2) / 3.0
-    d0x, d1x, d2x = x0 - cx, x1 - cx, x2 - cx
-    d0y, d1y, d2y = y0 - cy, y1 - cy, y2 - cy
-    sxx = d0x * d0x + d1x * d1x + d2x * d2x
-    syy = d0y * d0y + d1y * d1y + d2y * d2y
-    sxy = d0x * d0y + d1x * d1y + d2x * d2y
-    return _principal_directions(sxx, syy, sxy)
-
-
-def _valid_runs(valid: np.ndarray, full_circle: bool) -> tuple[list[np.ndarray], bool]:
-    """Maximal runs of consecutive valid indices, in scan order.
-
-    On a full-circle scan a run touching the end continues at the start,
-    so such head and tail runs merge into one (tail indices first).  The
-    returned flag marks the fully-valid full-circle case, where the single
-    run closes on itself as a ring.
-    """
-    n = valid.size
-    if n == 0:
-        return [], False
-    if valid.all():
-        return [np.arange(n, dtype=np.int64)], bool(full_circle)
-    edges = np.diff(np.concatenate(([False], valid, [False])).astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    stops = np.flatnonzero(edges == -1)
-    runs = [np.arange(s, e, dtype=np.int64) for s, e in zip(starts, stops)]
-    if full_circle and len(runs) > 1 and valid[0] and valid[-1]:
-        head = runs.pop(0)
-        tail = runs.pop()
-        runs.append(np.concatenate((tail, head)))
-    return runs, False
+def _neighbors(mask: np.ndarray, wrap: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The mask at each index's previous and next index (False off the ends)."""
+    if wrap:
+        return np.roll(mask, 1), np.roll(mask, -1)
+    return np.concatenate(([False], mask[:-1])), np.concatenate((mask[1:], [False]))
 
 
 def estimate_local_angles(x, y, valid, full_circle: bool = False) -> np.ndarray:
     """Local line direction at every scan point, in [0, pi); NaN if unknown.
 
-    Each point is assigned the principal direction of the three-point
-    window (previous, self, next) within its run of consecutive valid
-    returns.  Run endpoints borrow the estimate of their neighbor one
+    A point whose neighbors on both sides are valid too is interior and
+    gets the principal direction of its three-point window (previous,
+    self, next).  Run endpoints borrow the estimate of their neighbor one
     step inside; runs shorter than three points stay NaN, as do invalid
     points and degenerate (coincident or isotropic) triplets.  With
     ``full_circle`` the index space wraps, so runs join across the seam
     and a fully valid scan forms a closed ring with no endpoints at all.
+    The windows are gathered in blocks of _ANGLE_BLOCK interior points,
+    so the temporaries stay bounded however long the scan is.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     valid = np.ascontiguousarray(valid, dtype=bool)
     if x.ndim != 1 or x.shape != y.shape or x.shape != valid.shape:
         raise ValueError("x, y, valid must be one-dimensional and equally long")
-    out = np.full(x.size, np.nan)
-    runs, ring = _valid_runs(valid, full_circle)
-    for idx in runs:
-        if idx.size < 3:
-            continue
-        if ring:
-            out[idx] = _triplet_directions(x[idx], y[idx], ring=True)
-        else:
-            out[idx[1:-1]] = _triplet_directions(x[idx], y[idx], ring=False)
-            out[idx[0]] = out[idx[1]]
-            out[idx[-1]] = out[idx[-2]]
+    n = x.size
+    out = np.full(n, np.nan)
+    # below three beams a full circle has prev == next and a line no interior
+    if n < 3:
+        return out
+    prev_ok, next_ok = _neighbors(valid, full_circle)
+    interior = valid & prev_ok & next_ok
+    center = np.flatnonzero(interior)
+    for lo in range(0, center.size, _ANGLE_BLOCK):
+        i1 = center[lo : lo + _ANGLE_BLOCK]
+        i0 = i1 - 1  # index -1 is the last beam, the seam neighbor of beam 0
+        i2 = i1 + 1
+        i2[i2 == n] = 0
+        x0, x1, x2 = x[i0], x[i1], x[i2]
+        y0, y1, y2 = y[i0], y[i1], y[i2]
+        cx = (x0 + x1 + x2) / 3.0
+        cy = (y0 + y1 + y2) / 3.0
+        d0x, d1x, d2x = x0 - cx, x1 - cx, x2 - cx
+        d0y, d1y, d2y = y0 - cy, y1 - cy, y2 - cy
+        sxx = d0x * d0x + d1x * d1x + d2x * d2x
+        syy = d0y * d0y + d1y * d1y + d2y * d2y
+        sxy = d0x * d0y + d1x * d1y + d2x * d2y
+        out[i1] = _principal_directions(sxx, syy, sxy)
+    # run endpoints are the non-interior points next to an interior one;
+    # a point with interior neighbors on both sides is interior itself
+    prev_in, next_in = _neighbors(interior, full_circle)
+    head = np.flatnonzero(next_in & ~interior)
+    tail = np.flatnonzero(prev_in & ~interior)
+    out[head] = out[(head + 1) % n]
+    out[tail] = out[tail - 1]
     return out

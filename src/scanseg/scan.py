@@ -19,10 +19,8 @@ class Scan:
     one whole turn in index order, so downstream steps may treat beam
     adjacency as circular across the first/last index.
 
-    ``x``/``y`` are computed at construction.  ``theta`` (local line
-    direction) and ``dist`` (signed distance along a cluster normal) are
-    scratch columns the segmentation pipeline fills in; they start as NaN
-    and 0 respectively.
+    ``x``/``y`` are computed at construction; the segmentation pipeline
+    only reads a scan and keeps its intermediates to itself.
     """
 
     beam_angles: np.ndarray
@@ -31,8 +29,6 @@ class Scan:
     full_circle: bool = False
     x: np.ndarray = field(init=False, repr=False)
     y: np.ndarray = field(init=False, repr=False)
-    theta: np.ndarray = field(init=False, repr=False)
-    dist: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         angles = np.ascontiguousarray(self.beam_angles, dtype=np.float64)
@@ -52,8 +48,6 @@ class Scan:
         self.full_circle = bool(self.full_circle)
         self.x = ranges * np.cos(angles)
         self.y = ranges * np.sin(angles)
-        self.theta = np.full(angles.size, np.nan)
-        self.dist = np.zeros(angles.size)
 
     @property
     def beams(self) -> int:

@@ -277,7 +277,10 @@ def _cast_rays(
     t_num = apx * ey - apy * ex
     ranges = np.empty(angles.size)
     walls = np.empty(angles.size, dtype=np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a beam a subnormal angle off a wall's direction gives a subnormal
+    # denom and overflows t to +-inf, which t > 0 drops or any finite hit
+    # beats, as in the scalar cast
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, angles.size, _BEAM_BLOCK):
             rows = slice(start, start + _BEAM_BLOCK)
             block = angles[rows].tolist()

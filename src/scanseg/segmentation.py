@@ -106,10 +106,8 @@ def angular_segmentation(
 ) -> list[FeatureCluster]:
     """Split a scan into clusters of points lying along common lines.
 
-    Fills scan.theta with the local direction estimates and scan.dist
-    with each participating point's signed distance along its angular
-    cluster's normal.  Returns clusters of original point indices, ids
-    numbered from 1 in discovery order; every cluster has at least
+    The scan is only read.  Returns clusters of original point indices,
+    ids numbered from 1 in discovery order; every cluster has at least
     min_points members.  Raises InsufficientDataError when fewer than
     min_points valid points exist.
     """
@@ -119,7 +117,6 @@ def angular_segmentation(
             f"need at least {params.min_points} valid points, scan has {valid_count}"
         )
     theta = estimate_local_angles(scan.x, scan.y, scan.valid, scan.full_circle)
-    scan.theta[:] = theta
     orig = np.flatnonzero(scan.valid & np.isfinite(theta)).astype(np.int64)
     m = orig.size
     if m < params.min_points:
@@ -155,7 +152,6 @@ def angular_segmentation(
         dist = signed_distance_to_origin_line(
             scan.x[member_orig], scan.y[member_orig], normal
         )
-        scan.dist[member_orig] = dist
         suborder = np.lexsort((member_orig, dist))
         dist_sorted = np.ascontiguousarray(dist[suborder])
         sub_orig = member_orig[suborder]

@@ -340,6 +340,12 @@ class TestBench:
     def test_bad_sizes(self, capsys):
         assert main(["bench", "--experiment", "scaling", "--sizes", "nope"]) == 2
 
+    @pytest.mark.parametrize("sizes", ["0", "-5,10", "0,1000"])
+    def test_sizes_below_one_rejected(self, sizes, capsys):
+        # used to reach math.log(0) and print only "math domain error"
+        assert main(["bench", "--experiment", "scaling", f"--sizes={sizes}"]) == 2
+        assert capsys.readouterr().err == "error: sizes must be >= 1\n"
+
 
 def test_module_entry_point():
     # python3 -m scanseg must route into the same parser.

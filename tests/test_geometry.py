@@ -1,27 +1,39 @@
 """Line fitting, polar normal form, circular means, local angle estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from scanseg import (
     DegenerateFitError,
     GeneralLine,
     InsufficientDataError,
+    NoiseModel,
     OrientationUndefinedError,
     PolarLine,
+    RoomModel,
     UndefinedMeanError,
     canonical_polar,
     circular_mean,
     estimate_local_angles,
+    generate_scan,
     normalize_general_to_polar,
     signed_distance_to_origin_line,
     tls_fit,
     wrap_angle,
 )
+from scanseg.geometry import _ANGLE_BLOCK, _principal_directions
 from scanseg.oracle import eigen_tls
 
 TWO_PI = 2.0 * np.pi
+
+# the cli-roundtrip benchmark room: a rectangle with an alcove
+ROOM8 = np.array(
+    [[-4.0, -3.0], [4.0, -3.0], [4.0, 3.0], [1.0, 3.0],
+     [1.0, 5.0], [-1.0, 5.0], [-1.0, 2.5], [-4.0, 2.5]]
+)
 
 
 def angular_distance(a, b, period=TWO_PI):
@@ -298,3 +310,172 @@ class TestWrapAngle:
         for value in np.linspace(-50, 50, 1001):
             wrapped = wrap_angle(float(value))
             assert 0.0 <= wrapped < TWO_PI
+
+
+# Reference for estimate_local_angles: split the scan into runs of
+# consecutive valid beams and take the triplet directions of each run on
+# its own.  The vectorized estimate must match it bit for bit, since
+# every value depends only on its own (prev, self, next) triplet.
+
+
+def _triplet_directions(px, py, ring):
+    if ring:
+        x0, y0 = np.roll(px, 1), np.roll(py, 1)
+        x1, y1 = px, py
+        x2, y2 = np.roll(px, -1), np.roll(py, -1)
+    else:
+        x0, y0 = px[:-2], py[:-2]
+        x1, y1 = px[1:-1], py[1:-1]
+        x2, y2 = px[2:], py[2:]
+    cx = (x0 + x1 + x2) / 3.0
+    cy = (y0 + y1 + y2) / 3.0
+    d0x, d1x, d2x = x0 - cx, x1 - cx, x2 - cx
+    d0y, d1y, d2y = y0 - cy, y1 - cy, y2 - cy
+    sxx = d0x * d0x + d1x * d1x + d2x * d2x
+    syy = d0y * d0y + d1y * d1y + d2y * d2y
+    sxy = d0x * d0y + d1x * d1y + d2x * d2y
+    return _principal_directions(sxx, syy, sxy)
+
+
+def _valid_runs(valid, full_circle):
+    n = valid.size
+    if n == 0:
+        return [], False
+    if valid.all():
+        return [np.arange(n, dtype=np.int64)], bool(full_circle)
+    edges = np.diff(np.concatenate(([False], valid, [False])).astype(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    stops = np.flatnonzero(edges == -1)
+    runs = [np.arange(s, e, dtype=np.int64) for s, e in zip(starts, stops)]
+    if full_circle and len(runs) > 1 and valid[0] and valid[-1]:
+        head = runs.pop(0)
+        tail = runs.pop()
+        runs.append(np.concatenate((tail, head)))
+    return runs, False
+
+
+def reference_local_angles(x, y, valid, full_circle=False):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    valid = np.asarray(valid, dtype=bool)
+    out = np.full(x.size, np.nan)
+    runs, ring = _valid_runs(valid, full_circle)
+    for idx in runs:
+        if idx.size < 3:
+            continue
+        if ring:
+            out[idx] = _triplet_directions(x[idx], y[idx], ring=True)
+        else:
+            out[idx[1:-1]] = _triplet_directions(x[idx], y[idx], ring=False)
+            out[idx[0]] = out[idx[1]]
+            out[idx[-1]] = out[idx[-2]]
+    return out
+
+
+@st.composite
+def run_masks(draw, n):
+    """Masks built from runs of 1, 2, 3 or more valid beams between gaps,
+    rotated so that runs can touch index 0, index n - 1 or both."""
+    mask = []
+    while len(mask) < n:
+        mask += [True] * draw(st.sampled_from([1, 2, 3, 4, 7]))
+        mask += [False] * draw(st.integers(1, 3))
+    return np.roll(np.array(mask[:n], dtype=bool), draw(st.integers(0, n)))
+
+
+@st.composite
+def local_angle_cases(draw):
+    n = draw(st.one_of(st.integers(0, 5), st.integers(6, 60)))
+    kind = draw(st.sampled_from(["all", "none", "random", "runs"]))
+    if kind == "all" or n == 0:
+        valid = np.ones(n, dtype=bool)
+    elif kind == "none":
+        valid = np.zeros(n, dtype=bool)
+    elif kind == "random":
+        valid = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    else:
+        valid = draw(run_masks(n))
+    shape = draw(st.sampled_from(["grid", "floats", "triangle", "line"]))
+    if shape == "grid":
+        # small integers: coincident points and collinear triplets abound
+        coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        x = np.array(draw(coords), dtype=np.float64)
+        y = np.array(draw(coords), dtype=np.float64)
+    elif shape == "floats":
+        coords = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
+        x = np.array(draw(coords), dtype=np.float64)
+        y = np.array(draw(coords), dtype=np.float64)
+    elif shape == "triangle":
+        # every three consecutive points form an equilateral triangle,
+        # an isotropic scatter whose direction is NaN
+        t = np.arange(n) * (TWO_PI / 3.0)
+        x, y = np.cos(t), np.sin(t)
+    else:
+        t = np.arange(n, dtype=np.float64)
+        x, y = t, draw(st.floats(-2.0, 2.0)) * t
+    return x, y, valid, draw(st.booleans())
+
+
+def assert_same_as_reference(x, y, valid, full_circle):
+    got = estimate_local_angles(x, y, valid, full_circle)
+    want = reference_local_angles(x, y, valid, full_circle)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestLocalAnglesMatchReference:
+    @settings(max_examples=600)
+    @given(local_angle_cases())
+    def test_random_cases(self, case):
+        assert_same_as_reference(*case)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("full_circle", [False, True])
+    def test_every_mask_of_short_scans(self, n, full_circle):
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        for bits in range(2**n):
+            valid = np.array([(bits >> k) & 1 for k in range(n)], dtype=bool)
+            assert_same_as_reference(x, y, valid, full_circle)
+
+    @settings(max_examples=40)
+    @given(
+        st.sampled_from(["square", "room8"]),
+        st.floats(0.0, TWO_PI, exclude_max=True),
+        st.sampled_from([0.0, 0.05, 0.3]),
+        st.integers(0, 2**32),
+    )
+    def test_generated_rooms(self, shape, heading, dropout, seed):
+        vertices = np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]])
+        if shape == "room8":
+            vertices = ROOM8
+        room = RoomModel(vertices, (0.1, -0.2, heading))
+        scan, _ = generate_scan(room, 360, NoiseModel(0.01, dropout, seed))
+        for full_circle in (True, False):
+            assert_same_as_reference(scan.x, scan.y, scan.valid, full_circle)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.02, 0.5])
+    def test_several_blocks(self, dropout):
+        # long enough to cross block boundaries, with the seam in the last one
+        n = 2 * _ANGLE_BLOCK + 37
+        rng = np.random.default_rng(7)
+        t = np.arange(n) * (TWO_PI / n)
+        r = 3.0 + rng.normal(0.0, 0.01, n)
+        valid = rng.random(n) >= dropout
+        for full_circle in (True, False):
+            assert_same_as_reference(r * np.cos(t), r * np.sin(t), valid, full_circle)
+
+
+def test_local_angles_peak_memory_bounded_by_block():
+    """The windows are gathered per block of interior points, so the
+    temporaries do not grow with the scan: 3.5 MB at 1e5 beams, of which
+    the output and the interior index list take most, while gathering all
+    windows at once peaks near 21 MB."""
+    scan, _ = generate_scan(RoomModel(ROOM8), 100_000, NoiseModel(1e-6, 0.02, 5))
+    estimate_local_angles(scan.x, scan.y, scan.valid, scan.full_circle)
+    tracemalloc.start()
+    try:
+        estimate_local_angles(scan.x, scan.y, scan.valid, scan.full_circle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_000_000

@@ -10,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scanseg import (
+    BorderPolicy,
     NoiseModel,
     RoomModel,
     Scan,
     ScanFormatError,
+    SegmentationParams,
+    angular_segmentation,
+    fit_cluster_lines,
     generate_scan,
     load_points,
     load_scan,
@@ -51,11 +55,19 @@ class TestScan:
         np.testing.assert_allclose(scan.y, y, atol=1e-12)
         assert ((scan.beam_angles >= 0) & (scan.beam_angles < 2 * np.pi)).all()
 
-    def test_scratch_fields_initialized(self):
-        scan = Scan(np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.ones(2, bool), False)
-        assert np.isnan(scan.theta).all()
-        assert (scan.dist == 0).all()
-        assert scan.beams == 2
+    @pytest.mark.parametrize("policy", list(BorderPolicy))
+    def test_segmentation_leaves_scan_unchanged(self, policy):
+        # the pipeline keeps its intermediates to itself: every array of
+        # the scan reads byte for byte the same after segmenting and fitting
+        scan, _ = generate_scan(square_room(), 360, NoiseModel(0.01, 0.05, 4))
+        before = {k: v.tobytes() for k, v in vars(scan).items() if isinstance(v, np.ndarray)}
+        assert set(before) == {"beam_angles", "ranges", "valid", "x", "y"}
+        params = SegmentationParams(0.1, 0.2, 16, policy)
+        clusters = fit_cluster_lines(scan, angular_segmentation(scan, params))
+        assert len(clusters) == 4
+        after = {k: v.tobytes() for k, v in vars(scan).items() if isinstance(v, np.ndarray)}
+        assert after == before
+        assert scan.beams == 360
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -364,6 +376,16 @@ class TestRayCastEquivalence:
         room = RoomModel(ROOM8, (0.3, -1.7, 0.9))
         scan, wall_ids = generate_scan(room, _BEAM_BLOCK + 5)
         assert_matches_reference(room, scan.beam_angles, scan.ranges, wall_ids)
+
+    @pytest.mark.parametrize("heading", [5e-324, 2.2e-308, -5e-324])
+    def test_subnormal_heading_matches_scalar_cast(self, heading):
+        # beam 0 runs a subnormal angle off the horizontal walls, so its
+        # t overflows there; that used to warn, which tier-1 turns into
+        # an error
+        room = RoomModel(ROOM8, (0.1, -0.2, heading))
+        scan, wall_ids = generate_scan(room, 360)
+        with np.errstate(over="ignore"):  # the reference overflows alike
+            assert_matches_reference(room, scan.beam_angles, scan.ranges, wall_ids)
 
 
 def test_generate_peak_memory_bounded_by_block():
