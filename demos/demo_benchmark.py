@@ -4,7 +4,9 @@
     python3 demos/demo_benchmark.py
 
 Timings wobble with the machine; the operation counters do not, which
-is the point of printing both.
+is the point of printing both.  The counters are those of the paper's
+O(N) sweep, derived from the bounds the vectorized code computes; the
+timings are of that O(N log N) code.
 """
 
 import io
@@ -26,11 +28,11 @@ def main():
         print(f"  {prev.n:>7} -> {cur.n:>7}: "
               f"steps x{cur.neighborhood_steps / prev.neighborhood_steps:.3f}, "
               f"cluster time x{cur.cluster_time_ns / prev.cluster_time_ns:.2f}")
-    print("steps double exactly because the sweep always does 2N of them")
+    print("steps double exactly because the paper's sweep always does 2N of them")
 
     # Same dataset, epsilon varied over four orders of magnitude. The
-    # cluster phase only walks each pointer once regardless, so the
-    # counters stay flat; time moves a little with the cluster count.
+    # paper's sweep walks each pointer once regardless, so the counters
+    # stay flat; time moves a little with the cluster count.
     n = 200_000
     sweep = bench_epsilon_sweep(n, [1e-6, 1e-5, 1e-4, 1e-3], trials=3, seed=1)
     print(f"\nepsilon sweep at N={n}:")

@@ -40,8 +40,8 @@ def main():
           f"min_points={params.min_points}")
     show(labels, clusters, values)
 
-    # The neighborhood pass is two monotone pointer sweeps, so the step
-    # counter lands on exactly 2N no matter how the data looks.
+    # The paper's neighborhood pass is two monotone pointer sweeps, so its
+    # step counter lands on exactly 2N no matter how the data looks.
     print(f"  neighborhood steps: {counters.neighborhood_steps} "
           f"(always 2N = {2 * values.size})")
     print(f"  expansion touches:  {counters.expand_touches} (at most 2N)")

@@ -1,56 +1,23 @@
-"""Hot loops behind the sweep clustering core.
+"""Vectorized kernels behind the sorted 1D clustering core.
 
-Two implementations of the same clustering live here, and both give
-bit-identical labels and cluster ranges:
+Neighborhood bounds come from ``np.searchsorted``, corrected to the exact
+float predicate of the paper's pointer sweep, so they run in O(N log N)
+after the sort, in fixed-size blocks that keep scratch memory small.
+Labels and cluster ranges then follow from chains of linked cores.  Both
+are bit-identical to the paper's counted O(N) sweep, which the tests keep
+as the reference.
 
-* The vectorized NumPy path (``*_vec`` functions) is what every call gets
-  by default.  It finds neighborhood bounds with ``np.searchsorted`` and
-  then corrects them to the kernels' exact float predicate, so it runs in
-  O(N log N) after the sort, in fixed-size blocks that keep its scratch
-  memory small.
-* The counted sweep (``linear_bounds``, ``circular_bounds``,
-  ``expand_*``, ``dbscan_sweep``) is the paper's O(N) reference: two
-  monotone pointers and one expanding scan, with every step counted.
-  :mod:`scanseg.dbscan1d` runs it whenever a caller passes ``counters=``.
-  The ``2N`` / ``4N-2`` step bounds, the ``<= 2N`` touch bound, the
-  ``scanseg bench`` CSV timings and acceptance criteria 3 and 4 all come
-  from this path.
+The paper's operation counts follow from the same bounds and chains:
+:func:`sweep_steps` and :func:`sweep_touches` give the pointer steps and
+expansion touches that sweep would make on them.  They describe the
+paper's algorithm; the work done here is what wall-clock time measures.
 
-The counted sweep is written so that numba can compile it in nopython
-mode.  numba is an optional extra (``pip install scanseg[jit]``); when it
-is installed and ``SCANSEG_NO_JIT`` is unset it compiles the counted sweep
-only, and that combination is not measured by this project's benchmark.
-Without numba the same functions run under the plain interpreter, with
-identical semantics.
-
-Label conventions shared with :mod:`scanseg.dbscan1d`: 0 means not yet
-visited, -1 means noise, cluster ids start at 1.
+Label conventions shared with :mod:`scanseg.dbscan1d`: -1 means noise,
+cluster ids start at 1.
 """
-
-import os
 
 import numpy as np
 
-if os.environ.get("SCANSEG_NO_JIT"):
-    njit = None
-else:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        njit = None
-
-if njit is None:  # pragma: no cover
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-NOT_VISITED = 0
 NOISE = -1
 
 POLICY_FIRST = 0
@@ -58,253 +25,14 @@ POLICY_ALL = 1
 POLICY_AS_NOISE = 2
 
 
-@njit(cache=True)
-def linear_bounds(x, eps, lower, upper):
-    """Fill per-point neighborhood bounds for sorted values, return step count.
-
-    upper[i] is the largest j with x[j] - x[i] <= eps, lower[i] the smallest
-    j with x[i] - x[j] <= eps.  Both pointers only ever move forward, so the
-    total number of inner advances is exactly 2 * len(x).
-    """
-    n = x.shape[0]
-    steps = 0
-    u = 0
-    for i in range(n):
-        while u < n and x[u] - x[i] <= eps:
-            u += 1
-            steps += 1
-        upper[i] = u - 1
-    l = n - 1
-    for i in range(n - 1, -1, -1):
-        while l >= 0 and x[i] - x[l] <= eps:
-            l -= 1
-            steps += 1
-        lower[i] = l + 1
-    return steps
-
-
-@njit(cache=True)
-def circular_bounds(x, eps, period, lower, upper):
-    """Neighborhood bounds on a circle of the given period.
-
-    Values live in [0, period) and eps must be below period / 2.  Bounds are
-    unwrapped indices: upper[i] may reach len(x) + i - 1 and lower[i] may go
-    negative, where index j refers to x[j mod n] shifted by a full period.
-    The wrapped distance is evaluated as period - (hi - lo) with hi and lo
-    the raw stored values, matching the min(d, period - d) form used by the
-    brute-force reference, so both sides make identical float decisions.
-    """
-    n = x.shape[0]
-    steps = 0
-    u = 0
-    for i in range(n):
-        while u < i + n:
-            if u < n:
-                delta = x[u] - x[i]
-            else:
-                delta = period - (x[i] - x[u - n])
-            if delta <= eps:
-                u += 1
-                steps += 1
-            else:
-                break
-        upper[i] = u - 1
-    l = n - 1
-    for i in range(n - 1, -1, -1):
-        while l > i - n:
-            if l >= 0:
-                delta = x[i] - x[l]
-            else:
-                delta = period - (x[l + n] - x[i])
-            if delta <= eps:
-                l -= 1
-                steps += 1
-            else:
-                break
-        lower[i] = l + 1
-    return steps
-
-
-@njit(cache=True)
-def expand_linear(lower, upper, labels, p, cluster_id, min_points, policy):
-    """Grow cluster ``cluster_id`` outward from the core point p.
-
-    Scans the moving neighborhood target upward then downward, relabeling
-    unvisited points (and, depending on policy, previously noise-labeled or
-    foreign border points).  Returns (lo, hi, touches) where [lo, hi] spans
-    exactly the points absorbed into this cluster and touches counts every
-    point examined.
-    """
-    n = labels.shape[0]
-    labels[p] = cluster_id
-    lo = p
-    hi = p
-    touches = 0
-    u = upper[p]
-    i = p + 1
-    while i < n and i <= u:
-        touches += 1
-        lab = labels[i]
-        if lab != cluster_id:
-            if policy == POLICY_AS_NOISE:
-                if lab == NOT_VISITED:
-                    if upper[i] - lower[i] + 1 >= min_points:
-                        labels[i] = cluster_id
-                        hi = i
-                        if upper[i] > u:
-                            u = upper[i]
-                    else:
-                        labels[i] = NOISE
-            elif lab == NOT_VISITED or lab == NOISE or policy == POLICY_ALL:
-                grew = lab == NOT_VISITED or policy == POLICY_ALL
-                labels[i] = cluster_id
-                hi = i
-                if grew and upper[i] - lower[i] + 1 >= min_points:
-                    if upper[i] > u:
-                        u = upper[i]
-        i += 1
-    l = lower[p]
-    i = p - 1
-    while i >= 0 and i >= l:
-        touches += 1
-        lab = labels[i]
-        if lab != cluster_id:
-            if policy == POLICY_AS_NOISE:
-                if lab == NOT_VISITED:
-                    if upper[i] - lower[i] + 1 >= min_points:
-                        labels[i] = cluster_id
-                        lo = i
-                        if lower[i] < l:
-                            l = lower[i]
-                    else:
-                        labels[i] = NOISE
-            elif lab == NOT_VISITED or lab == NOISE or policy == POLICY_ALL:
-                grew = lab == NOT_VISITED or policy == POLICY_ALL
-                labels[i] = cluster_id
-                lo = i
-                if grew and upper[i] - lower[i] + 1 >= min_points:
-                    if lower[i] < l:
-                        l = lower[i]
-        i -= 1
-    return lo, hi, touches
-
-
-@njit(cache=True)
-def expand_circular(lower, upper, labels, p, cluster_id, min_points, policy):
-    """Circular variant of expand_linear working on unwrapped bound tables.
-
-    The scan is capped at one full turn in each direction and stops early
-    once every point has been absorbed; a chain that closes the circle is
-    reported as the canonical range (p, p + n - 1).  Returned lo may be
-    negative and hi may exceed n - 1, both meaning the range wraps.
-    """
-    n = labels.shape[0]
-    labels[p] = cluster_id
-    lo = p
-    hi = p
-    absorbed = 1
-    touches = 0
-    u = upper[p]
-    i = p + 1
-    while i <= u and i <= p + n - 1:
-        touches += 1
-        j = i % n
-        shift = (i // n) * n
-        lab = labels[j]
-        if lab != cluster_id:
-            if policy == POLICY_AS_NOISE:
-                if lab == NOT_VISITED:
-                    if upper[j] - lower[j] + 1 >= min_points:
-                        labels[j] = cluster_id
-                        hi = i
-                        absorbed += 1
-                        if upper[j] + shift > u:
-                            u = upper[j] + shift
-                    else:
-                        labels[j] = NOISE
-            elif lab == NOT_VISITED or lab == NOISE or policy == POLICY_ALL:
-                grew = lab == NOT_VISITED or policy == POLICY_ALL
-                labels[j] = cluster_id
-                hi = i
-                absorbed += 1
-                if grew and upper[j] - lower[j] + 1 >= min_points:
-                    if upper[j] + shift > u:
-                        u = upper[j] + shift
-        i += 1
-    l = lower[p]
-    i = p - 1
-    while i >= l and i >= p - n + 1 and absorbed < n:
-        touches += 1
-        j = i % n
-        shift = (i // n) * n
-        lab = labels[j]
-        if lab != cluster_id:
-            if policy == POLICY_AS_NOISE:
-                if lab == NOT_VISITED:
-                    if upper[j] - lower[j] + 1 >= min_points:
-                        labels[j] = cluster_id
-                        lo = i
-                        absorbed += 1
-                        if lower[j] + shift < l:
-                            l = lower[j] + shift
-                    else:
-                        labels[j] = NOISE
-            elif lab == NOT_VISITED or lab == NOISE or policy == POLICY_ALL:
-                grew = lab == NOT_VISITED or policy == POLICY_ALL
-                labels[j] = cluster_id
-                lo = i
-                absorbed += 1
-                if grew and upper[j] - lower[j] + 1 >= min_points:
-                    if lower[j] + shift < l:
-                        l = lower[j] + shift
-        i -= 1
-    if absorbed >= n:
-        return p, p + n - 1, touches
-    return lo, hi, touches
-
-
-@njit(cache=True)
-def dbscan_sweep(lower, upper, min_points, policy, labels, out_lo, out_hi, circular):
-    """Single ascending scan assigning every point to a cluster or noise.
-
-    Writes cluster ranges into out_lo/out_hi and returns
-    (cluster_count, expand_touches).
-    """
-    n = labels.shape[0]
-    count = 0
-    touches = 0
-    for i in range(n):
-        if labels[i] != NOT_VISITED:
-            continue
-        if upper[i] - lower[i] + 1 < min_points:
-            labels[i] = NOISE
-            continue
-        if circular:
-            lo, hi, t = expand_circular(
-                lower, upper, labels, i, count + 1, min_points, policy
-            )
-        else:
-            lo, hi, t = expand_linear(
-                lower, upper, labels, i, count + 1, min_points, policy
-            )
-        out_lo[count] = lo
-        out_hi[count] = hi
-        count += 1
-        touches += t
-    return count, touches
-
-
-# -- vectorized NumPy path -------------------------------------------------
-#
-# The functions below reproduce the counted sweep's results without its
-# pointer loops.  Bounds: a searchsorted guess per point, corrected to the
-# exact predicate the sweep evaluates.  Labels: in one dimension two
-# consecutive cores share a cluster exactly when the later one lies inside
-# the earlier one's upper bound, and a non-core point can only be reached
-# by the cluster of its previous core and that of its next core, so whole
-# clusters follow from their first and last cores.  Work runs in blocks of
-# VEC_BLOCK points: besides the caller's bounds and labels, every array
-# scales with the block or with the number of clusters.
+# Bounds: a searchsorted guess per point, corrected to the exact predicate
+# the sweep evaluates.  Labels: in one dimension two consecutive cores
+# share a cluster exactly when the later one lies inside the earlier one's
+# upper bound, and a non-core point can only be reached by the cluster of
+# its previous core and that of its next core, so whole clusters follow
+# from their first and last cores.  Work runs in blocks of VEC_BLOCK
+# points: besides the caller's bounds and labels, every array scales with
+# the block or with the number of clusters.
 
 VEC_BLOCK = 1 << 15
 
@@ -335,7 +63,7 @@ def _last_fit(x, idx, fits):
 
 
 def _block_bounds(x, eps, a, b, lower, upper):
-    """Linear bounds of points a..b-1, exactly as linear_bounds.
+    """Linear bounds of points a..b-1, exactly as the sweep's.
 
     Needs upper[:a] filled.  The upper bounds come from a search corrected
     to the sweep's predicate.  Points j <= i are neighbors exactly when
@@ -360,18 +88,28 @@ def _block_bounds(x, eps, a, b, lower, upper):
     lower[a + 1 : b] += start
 
 
-def linear_bounds_vec(x, eps, lower, upper):
-    """Fill the same bounds as linear_bounds, without counting steps."""
+def linear_bounds(x, eps, lower, upper):
+    """Fill per-point neighborhood bounds of sorted values.
+
+    upper[i] is the largest j with x[j] - x[i] <= eps, lower[i] the smallest
+    j with x[i] - x[j] <= eps.
+    """
     for a, b in _blocks(x.shape[0]):
         _block_bounds(x, eps, a, b, lower, upper)
 
 
-def circular_bounds_vec(x, eps, period, lower, upper):
-    """Fill the same unwrapped bounds as circular_bounds.
+def circular_bounds(x, eps, period, lower, upper):
+    """Neighborhood bounds on a circle of the given period.
 
+    Values live in [0, period) and eps must be below period / 2.  Bounds are
+    unwrapped indices: upper[i] may reach len(x) + i - 1 and lower[i] may go
+    negative, where index j refers to x[j mod n] shifted by a full period.
+    The wrapped distance is evaluated as period - (hi - lo) with hi and lo
+    the raw stored values, matching the min(d, period - d) form used by the
+    brute-force reference, so both sides make identical float decisions.
     A point continues past the seam only when its linear bound already
-    reaches the array end; there the wrapped predicate, in the sweep's
-    ``period - (hi - lo)`` form, picks up the values from the other end.
+    reaches the array end; there the wrapped predicate picks up the values
+    from the other end.
     """
     n = x.shape[0]
     for a, b in _blocks(n):
@@ -395,7 +133,7 @@ def circular_bounds_vec(x, eps, period, lower, upper):
             lo[h] = j + 1 - n
 
 
-def _chains(lower, upper, min_points):
+def core_chains(lower, upper, min_points):
     """First and last core of each run of linked cores, and the core count.
 
     Cores c < c' that are consecutive among the cores belong to one chain
@@ -452,18 +190,19 @@ def _fill(labels, start, end, ids):
     np.cumsum(labels, out=labels)
 
 
-def dbscan_vec(lower, upper, min_points, policy, labels, circular):
+def label_clusters(lower, upper, chains, min_points, policy, labels, circular):
     """Label every point from its bounds; returns the raw (lo, hi) ranges.
 
-    Gives the labels and ranges dbscan_sweep gives on the same bounds,
-    including its order of discovery: clusters are numbered by the first
-    core the ascending sweep meets, so on a ring the chain through index 0
-    is cluster 1 and takes in the chain that closes on it across the seam.
+    ``chains`` is core_chains() of the same bounds.  Gives the labels and
+    ranges of the paper's sweep on these bounds, including its order of
+    discovery: clusters are numbered by the first core an ascending sweep
+    meets, so on a ring the chain through index 0 is cluster 1 and takes
+    in the chain that closes on it across the seam.
     Under FIRST_CLUSTER a border point goes to the smaller of the (at most
     two) cluster ids that reach it, under ALL_CLUSTERS to the larger.
     """
     n = labels.shape[0]
-    first, last, cores = _chains(lower, upper, min_points)
+    first, last, cores = chains
     if not cores:
         labels[:] = NOISE
         return first, last
@@ -508,16 +247,59 @@ def dbscan_vec(lower, upper, min_points, policy, labels, circular):
     return reach_lo, reach_hi
 
 
+def sweep_steps(lower, upper):
+    """Pointer steps the paper's bound sweep makes to find these bounds.
+
+    Its forward pointer ends one past upper[n-1] and its backward pointer
+    one before lower[0], each moving one index per step: exactly 2N on a
+    line, at most 4N - 2 on a ring.
+    """
+    n = upper.shape[0]
+    return int(upper[-1]) + 1 + n - int(lower[0]) if n else 0
+
+
+def sweep_touches(lower, upper, chains, policy, circular):
+    """Points the paper's cluster expansion examines on these bounds.
+
+    The expansion seeded at a chain's first core f scans up to the reach of
+    its last core l and down to the reach of f, so on a line it touches
+    upper[l] - lower[f] points.  On a ring only cluster 1 needs more care:
+    its upward scan stops one turn from the seed, its downward scan runs
+    on through the last chain when that chain closes on it across the seam,
+    and it stops once the cluster holds all N points.  That caps it at
+    N - 1 touches whenever every touched point is absorbed: always, except
+    under AS_NOISE with a non-core point.  No other chain reaches a full
+    turn, since it would then link to the next chain or close on chain 1.
+    """
+    first, last, cores = chains
+    if not cores:
+        return 0
+    reach = upper[last] - lower[first]
+    if not circular:
+        return int(reach.sum())
+    n = upper.shape[0]
+    f = int(first[0])
+    low = int(lower[f])
+    if first.size > 1 and f + n <= upper[last[-1]]:
+        low = min(low, int(lower[first[-1]]) - n)
+        reach = reach[:-1]
+    touches = min(int(upper[last[0]]), f + n - 1) - low
+    if policy != POLICY_AS_NOISE or cores == n:
+        touches = min(touches, n - 1)
+    return touches + int(reach[1:].sum())
+
+
 def warmup():
-    """Trigger compilation of every kernel on a tiny input."""
+    """Run the bounds and the labels once on a tiny input, linear and
+    circular, so that a benchmark's first timed call pays no one-time
+    costs."""
     x = np.array([0.0, 0.05, 0.2, 5.0])
     lower = np.empty(4, np.int64)
     upper = np.empty(4, np.int64)
-    labels = np.zeros(4, np.int64)
-    lo = np.empty(4, np.int64)
-    hi = np.empty(4, np.int64)
+    labels = np.empty(4, np.int64)
     linear_bounds(x, 0.1, lower, upper)
-    dbscan_sweep(lower, upper, 2, POLICY_FIRST, labels, lo, hi, False)
-    labels[:] = NOT_VISITED
+    chains = core_chains(lower, upper, 2)
+    label_clusters(lower, upper, chains, 2, POLICY_FIRST, labels, False)
     circular_bounds(x, 0.1, 2.0 * np.pi, lower, upper)
-    dbscan_sweep(lower, upper, 2, POLICY_FIRST, labels, lo, hi, True)
+    chains = core_chains(lower, upper, 2)
+    label_clusters(lower, upper, chains, 2, POLICY_FIRST, labels, True)

@@ -1,10 +1,12 @@
 """Microbenchmarks for the clustering core.
 
 Two experiments: total (sort + cluster) time as input size grows, and
-cluster-phase cost across an epsilon sweep at fixed size.  Assertions
-about complexity belong to the deterministic operation counters; wall
-times are recorded too but only ever checked with loose tolerances,
-since clocks are machine noise.
+cluster-phase cost across an epsilon sweep at fixed size.  Both time the
+default clustering path.  The operation counters in each row are the
+paper's O(N) sweep's steps and touches, derived from the bounds and
+chains that path computes, so they are deterministic and carry the
+complexity claims; wall times carry the real (O(N log N)) cost and are
+only ever checked with loose tolerances, since clocks are machine noise.
 
 The data generator makes k = ceil(sqrt(N)) uniform clusters of width w
 separated by 10 w gaps, so for the paired epsilon choice the average

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Four subcommands: ``cluster`` runs the 1D sweep on a point-list file,
+Four subcommands: ``cluster`` runs 1D clustering on a point-list file,
 ``segment`` runs the two-stage scan pipeline, ``generate`` writes a
 synthetic room scan, ``bench`` emits experiment CSVs.  Data goes to the
 output file or stdout; diagnostics and timings go to stderr; exit code 0
@@ -15,7 +15,6 @@ import time
 
 import numpy as np
 
-from . import _kernels
 from .bench import bench_epsilon_sweep, bench_scaling, write_csv
 from .dbscan1d import (
     BorderPolicy,
@@ -47,7 +46,6 @@ def _cmd_cluster(args) -> int:
     values, file_period = load_points(args.input)
     period = args.circular_period if args.circular_period is not None else file_period
     params = DbscanParams(args.epsilon, args.min_points, BorderPolicy(args.border_policy))
-    _kernels.warmup()
     t0 = time.perf_counter_ns()
     order = np.argsort(values, kind="stable")
     sorted_values = values[order]
@@ -75,7 +73,6 @@ def _cmd_cluster(args) -> int:
 def _cmd_segment(args) -> int:
     scan = load_scan(args.input)
     params = SegmentationParams(args.eps_theta, args.eps_dist, args.min_points)
-    _kernels.warmup()
     t0 = time.perf_counter_ns()
     clusters = angular_segmentation(scan, params)
     t1 = time.perf_counter_ns()

@@ -2,14 +2,17 @@
 
 On sorted input every epsilon-neighborhood is a contiguous index range, so
 the usual density clustering definitions (core points, border points,
-noise) reduce to interval bookkeeping.  Two monotone sweep pointers find
-all neighborhood bounds in linear time and cluster expansion touches each
-point at most twice, which keeps the whole pass at O(N) after the sort.
+noise) reduce to interval bookkeeping.  In the paper two monotone sweep
+pointers find all neighborhood bounds in linear time and cluster
+expansion touches each point at most twice, which keeps the whole pass at
+O(N) after the sort.
 
-Every function here has two paths with bit-identical results.  A call
-that passes ``counters=`` runs that counted O(N) sweep and adds its work
-to the counters.  Any other call runs the vectorized NumPy path of
-:mod:`scanseg._kernels`, which is O(N log N) but far faster in practice.
+The work itself runs in the vectorized NumPy kernels of
+:mod:`scanseg._kernels`: O(N log N), far faster in practice, and
+bit-identical to that sweep in bounds, labels and cluster ranges.  A call
+that passes ``counters=`` runs the same code and adds to them the steps
+and touches the paper's sweep would make on the bounds and chains just
+computed.
 
 Neighborhoods are closed: a point at distance exactly ``epsilon`` counts.
 A circular variant treats values as positions on a ring of a given period,
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ import numpy as np
 
 from . import _kernels as _k
 
-NOT_VISITED = _k.NOT_VISITED
+NOT_VISITED = 0
 NOISE = _k.NOISE
 
 
@@ -95,13 +99,16 @@ class CircularDomain:
 
 @dataclass
 class OpCounters:
-    """Work counters accumulated across calls.
+    """Work counters of the paper's sweep, accumulated across calls.
 
-    ``neighborhood_steps`` counts inner pointer advances while computing
-    neighborhood bounds; the linear sweep performs exactly 2 * N of them
-    per call and the circular sweep at most 4 * N - 2.  ``expand_touches``
-    counts points examined during cluster expansion, at most 2 * N per
-    call under every border policy.
+    The counts state what the paper's O(N) sweep would do on the bounds
+    and chains a call computes; they are derived from those arrays, not
+    measured, and wall-clock time carries the O(N log N) cost of the code
+    that actually runs.  ``neighborhood_steps`` counts inner pointer
+    advances while computing neighborhood bounds: exactly 2 * N per linear
+    call, at most 4 * N - 2 per circular one.  ``expand_touches`` counts
+    points examined during cluster expansion, at most 2 * N per call under
+    every border policy.
     """
 
     neighborhood_steps: int = 0
@@ -215,15 +222,10 @@ class ClusterSequence(Sequence):
 
 
 class DbscanScratch:
-    """Reusable work arrays so repeated runs skip reallocation.
-
-    lower/upper hold the neighborhood bounds; range_lo/range_hi hold the
-    counted sweep's cluster ranges and are allocated only when a counted
-    run needs them; the default NumPy path never does.
-    """
+    """Reusable bound arrays (lower/upper) so repeated runs skip reallocation."""
 
     def __init__(self, capacity: int = 0):
-        self.lower = self.upper = self.range_lo = self.range_hi = np.empty(0, np.int64)
+        self.lower = self.upper = np.empty(0, np.int64)
         self.reserve(max(int(capacity), 1))
 
     def reserve(self, n: int) -> None:
@@ -231,19 +233,18 @@ class DbscanScratch:
             self.lower = np.empty(n, np.int64)
             self.upper = np.empty(n, np.int64)
 
-    def _reserve_ranges(self, n: int) -> None:
-        if self.range_lo.shape[0] < n:
-            self.range_lo = np.empty(n, np.int64)
-            self.range_hi = np.empty(n, np.int64)
-
 
 def _checked_values(values) -> np.ndarray:
     x = np.ascontiguousarray(values, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"values must be one-dimensional, got shape {x.shape}")
-    if x.size and not np.isfinite(x).all():
-        raise ValueError("values must be finite")
-    if x.size > 1 and np.any(x[1:] < x[:-1]):
+    # sorted values with finite ends are finite throughout, and a NaN fails
+    # the comparison, so valid input costs one pass
+    if x.size and not (
+        math.isfinite(x[0]) and math.isfinite(x[-1]) and (x[1:] >= x[:-1]).all()
+    ):
+        if not np.isfinite(x).all():
+            raise ValueError("values must be finite")
         raise UnsortedInputError("values must be sorted in ascending order")
     return x
 
@@ -271,18 +272,16 @@ def calculate_neighborhood(
     """Compute all epsilon-neighborhood bounds of a sorted array.
 
     Returns a table whose closed range ``lower[i] .. upper[i]`` holds the
-    neighbors of point ``i``.  With ``counters`` it runs one forward and
-    one backward pointer sweep, exactly 2 * N counted steps.
+    neighbors of point ``i``.  ``counters`` gains the paper sweep's
+    exactly 2 * N pointer steps.
     """
     x = _checked_values(values)
     epsilon = _checked_epsilon(epsilon)
     lower = np.empty(x.size, np.int64)
     upper = np.empty(x.size, np.int64)
-    if counters is None:
-        _k.linear_bounds_vec(x, epsilon, lower, upper)
-    else:
-        steps = _k.linear_bounds(x, epsilon, lower, upper)
-        counters.neighborhood_steps += int(steps)
+    _k.linear_bounds(x, epsilon, lower, upper)
+    if counters is not None:
+        counters.neighborhood_steps += _k.sweep_steps(lower, upper)
     return NeighborhoodTable(lower, upper)
 
 
@@ -304,49 +303,10 @@ def calculate_neighborhood_circular(
     _checked_circular(x, epsilon, domain)
     lower = np.empty(x.size, np.int64)
     upper = np.empty(x.size, np.int64)
-    if counters is None:
-        _k.circular_bounds_vec(x, epsilon, domain.period, lower, upper)
-    else:
-        steps = _k.circular_bounds(x, epsilon, domain.period, lower, upper)
-        counters.neighborhood_steps += int(steps)
-    return NeighborhoodTable(lower, upper, domain.period)
-
-
-def expand_cluster(
-    p: int,
-    table: NeighborhoodTable,
-    labels: np.ndarray,
-    cluster_id: int,
-    params: DbscanParams,
-    *,
-    counters: OpCounters | None = None,
-) -> Cluster1D:
-    """Grow one cluster outward from core seed ``p``, mutating ``labels``.
-
-    The seed must be an unvisited core point.  The scan target index moves
-    to the furthest bound of each absorbed core, so the reported range end
-    is the last index actually absorbed, not the last one looked at.
-    """
-    n = labels.shape[0]
-    if labels[p] != NOT_VISITED:
-        raise ValueError(f"seed {p} was already visited (label {int(labels[p])})")
-    if table.size(p) < params.min_points:
-        raise ValueError(f"seed {p} is not a core point")
-    policy = _POLICY_CODE[params.border_policy]
-    if table.period is not None:
-        lo, hi, touches = _k.expand_circular(
-            table.lower, table.upper, labels, p, cluster_id, params.min_points, policy
-        )
-        if lo < 0:
-            lo += n
-            hi += n
-    else:
-        lo, hi, touches = _k.expand_linear(
-            table.lower, table.upper, labels, p, cluster_id, params.min_points, policy
-        )
+    _k.circular_bounds(x, epsilon, domain.period, lower, upper)
     if counters is not None:
-        counters.expand_touches += int(touches)
-    return Cluster1D(cluster_id, int(lo), int(hi))
+        counters.neighborhood_steps += _k.sweep_steps(lower, upper)
+    return NeighborhoodTable(lower, upper, domain.period)
 
 
 def _run(
@@ -359,69 +319,30 @@ def _run(
 ) -> tuple[np.ndarray, ClusterSequence]:
     n = x.size
     labels = np.empty(n, np.int64) if out_labels is None else out_labels
-    if counters is None:
-        lo, hi = _run_vec(x, params, domain, scratch, labels)
-    else:
-        lo, hi = _run_counted(x, params, domain, scratch, counters, labels)
-    if domain is not None and lo.size:
-        wrapped = lo < 0
-        if wrapped.any():
-            lo[wrapped] += n
-            hi[wrapped] += n
-    return labels, ClusterSequence(lo, hi)
-
-
-def _run_vec(x, params, domain, scratch, labels):
-    n = x.size
     if scratch is None:
-        # only the bounds: the vector path needs no n-sized range scratch
         lower = np.empty(n, np.int64)
         upper = np.empty(n, np.int64)
     else:
         scratch.reserve(n)
         lower = scratch.lower[:n]
         upper = scratch.upper[:n]
-    if domain is None:
-        _k.linear_bounds_vec(x, params.epsilon, lower, upper)
+    circular = domain is not None
+    if circular:
+        _k.circular_bounds(x, params.epsilon, domain.period, lower, upper)
     else:
-        _k.circular_bounds_vec(x, params.epsilon, domain.period, lower, upper)
-    return _k.dbscan_vec(
-        lower,
-        upper,
-        params.min_points,
-        _POLICY_CODE[params.border_policy],
-        labels,
-        domain is not None,
-    )
-
-
-def _run_counted(x, params, domain, scratch, counters, labels):
-    n = x.size
-    if scratch is None:
-        scratch = DbscanScratch(n)
-    else:
-        scratch.reserve(n)
-    scratch._reserve_ranges(n)
-    lower = scratch.lower[:n]
-    upper = scratch.upper[:n]
-    if domain is None:
-        steps = _k.linear_bounds(x, params.epsilon, lower, upper)
-    else:
-        steps = _k.circular_bounds(x, params.epsilon, domain.period, lower, upper)
-    labels[:] = NOT_VISITED
-    count, touches = _k.dbscan_sweep(
-        lower,
-        upper,
-        params.min_points,
-        _POLICY_CODE[params.border_policy],
-        labels,
-        scratch.range_lo,
-        scratch.range_hi,
-        domain is not None,
-    )
-    counters.neighborhood_steps += int(steps)
-    counters.expand_touches += int(touches)
-    return scratch.range_lo[:count].copy(), scratch.range_hi[:count].copy()
+        _k.linear_bounds(x, params.epsilon, lower, upper)
+    policy = _POLICY_CODE[params.border_policy]
+    chains = _k.core_chains(lower, upper, params.min_points)
+    lo, hi = _k.label_clusters(lower, upper, chains, params.min_points, policy, labels, circular)
+    if counters is not None:
+        counters.neighborhood_steps += _k.sweep_steps(lower, upper)
+        counters.expand_touches += _k.sweep_touches(lower, upper, chains, policy, circular)
+    if circular and lo.size:
+        wrapped = lo < 0
+        if wrapped.any():
+            lo[wrapped] += n
+            hi[wrapped] += n
+    return labels, ClusterSequence(lo, hi)
 
 
 def dbscan_1d(
@@ -431,7 +352,7 @@ def dbscan_1d(
     scratch: DbscanScratch | None = None,
     counters: OpCounters | None = None,
 ) -> tuple[np.ndarray, ClusterSequence]:
-    """Cluster sorted values (in linear time on the counted path).
+    """Cluster sorted values.
 
     Returns ``(labels, clusters)``: labels holds -1 for noise and 1-based
     cluster ids for members, clusters the absorbed index ranges in
@@ -470,11 +391,13 @@ def recluster_subrange(
 ) -> ClusterSequence:
     """Linear clustering into caller-owned buffers, for tight inner loops.
 
-    ``values`` must already be a sorted float64 array; ``out_labels`` (same
-    length) receives the labels.  Used by the scan segmentation stage that
+    ``values`` must be sorted and is checked like ``dbscan_1d``'s; a sorted
+    float64 array is used without a copy.  ``out_labels`` (same length)
+    receives the labels.  Used by the scan segmentation stage that
     reclusters each angular group by distance without reallocating.
     """
-    if out_labels.shape != values.shape or out_labels.dtype != np.int64:
+    x = _checked_values(values)
+    if out_labels.shape != x.shape or out_labels.dtype != np.int64:
         raise ValueError("out_labels must be an int64 array matching values")
-    _, clusters = _run(values, params, None, scratch, counters, out_labels=out_labels)
+    _, clusters = _run(x, params, None, scratch, counters, out_labels=out_labels)
     return clusters

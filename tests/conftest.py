@@ -4,8 +4,9 @@ from hypothesis import HealthCheck, settings
 
 from scanseg._kernels import warmup
 
-# JIT compilation on first kernel use can take seconds; never let it count
-# against a hypothesis deadline, and keep runs reproducible in CI.
+# The reference sweep runs interpreted and some cases are large; never let
+# a slow example count against a hypothesis deadline, and keep runs
+# reproducible in CI.
 settings.register_profile(
     "scanseg",
     deadline=None,

@@ -1,4 +1,4 @@
-"""Sorted 1D density clustering: bounds, expansion, full runs, counters."""
+"""Sorted 1D density clustering: bounds, full runs, counters."""
 
 import tracemalloc
 
@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from scanseg import (
     NOISE,
-    NOT_VISITED,
     BorderPolicy,
     CircularDomain,
     Cluster1D,
+    ClusterSequence,
     DbscanParams,
     DbscanScratch,
     OpCounters,
@@ -20,12 +20,12 @@ from scanseg import (
     calculate_neighborhood_circular,
     dbscan_1d,
     dbscan_1d_circular,
-    expand_cluster,
     recluster_subrange,
 )
 from scanseg._kernels import VEC_BLOCK
 from scanseg.bench import generate_separated_clusters, scaling_epsilon
 from scanseg.oracle import density_reachable_closure, naive_dbscan, naive_neighborhood
+from sweep_reference import run_sweep
 
 TWO_PI = 2.0 * np.pi
 
@@ -155,39 +155,6 @@ class TestNeighborhoodBounds:
             assert table.size(i) == expected.size
 
 
-class TestExpandCluster:
-    def test_expansion_stops_at_last_absorbed(self):
-        x = np.array([0.0, 1.0, 2.0, 10.0])
-        table = calculate_neighborhood(x, 1.5)
-        labels = np.zeros(4, np.int64)
-        cluster = expand_cluster(0, table, labels, 1, DbscanParams(1.5, 2))
-        assert cluster == Cluster1D(1, 0, 2)
-        # the far point is beyond every absorbed core's bound: never visited
-        assert labels.tolist() == [1, 1, 1, NOT_VISITED]
-
-    def test_isolated_core_min_points_one(self):
-        x = np.array([0.0, 50.0, 100.0])
-        table = calculate_neighborhood(x, 1.0)
-        labels = np.zeros(3, np.int64)
-        cluster = expand_cluster(1, table, labels, 7, DbscanParams(1.0, 1))
-        assert (cluster.lower, cluster.upper) == (1, 1)
-        assert labels.tolist() == [0, 7, 0]
-
-    def test_visited_seed_rejected(self):
-        x = np.array([0.0, 1.0])
-        table = calculate_neighborhood(x, 2.0)
-        labels = np.array([0, 3], np.int64)
-        with pytest.raises(ValueError, match="visited"):
-            expand_cluster(1, table, labels, 4, DbscanParams(2.0, 1))
-
-    def test_non_core_seed_rejected(self):
-        x = np.array([0.0, 10.0])
-        table = calculate_neighborhood(x, 1.0)
-        labels = np.zeros(2, np.int64)
-        with pytest.raises(ValueError, match="core"):
-            expand_cluster(0, table, labels, 1, DbscanParams(1.0, 2))
-
-
 class TestLinearRuns:
     def test_two_clusters(self):
         x = np.array([0.0, 0.4, 0.8, 5.0, 5.3, 5.6])
@@ -260,34 +227,19 @@ class TestLinearRuns:
         assert int(np.sum(labels == 2)) < 4
 
     def test_scratch_reuse_matches_fresh(self):
+        # one scratch, reused and grown, with and without counters
         rng = np.random.default_rng(5)
-        scratch = DbscanScratch(8)
-        params = DbscanParams(0.2, 3)
-        for _ in range(20):
-            x = np.sort(rng.random(int(rng.integers(0, 120))))
-            fresh = dbscan_1d(x, params)
-            reused = dbscan_1d(x, params, scratch=scratch)
-            np.testing.assert_array_equal(fresh[0], reused[0])
-            assert list(fresh[1]) == list(reused[1])
-
-    def test_counted_scratch_reuse_matches_fresh(self):
-        rng = np.random.default_rng(6)
         scratch = DbscanScratch(8)
         params = DbscanParams(0.2, 3)
         for _ in range(20):
             x = np.sort(rng.random(int(rng.integers(0, 120))))
             fresh_counters, reused_counters = OpCounters(), OpCounters()
             fresh = dbscan_1d(x, params, counters=fresh_counters)
-            reused = dbscan_1d(x, params, scratch=scratch, counters=reused_counters)
-            np.testing.assert_array_equal(fresh[0], reused[0])
-            assert list(fresh[1]) == list(reused[1])
+            for counters in (None, reused_counters):
+                reused = dbscan_1d(x, params, scratch=scratch, counters=counters)
+                np.testing.assert_array_equal(fresh[0], reused[0])
+                assert list(fresh[1]) == list(reused[1])
             assert fresh_counters == reused_counters
-
-    def test_vector_path_allocates_no_range_scratch(self):
-        scratch = DbscanScratch(64)
-        x = np.sort(np.random.default_rng(7).random(64))
-        dbscan_1d(x, DbscanParams(0.1, 3), scratch=scratch)
-        assert scratch.range_lo.size == 0 and scratch.range_hi.size == 0
 
     def test_work_independent_of_epsilon(self):
         # fixed N: counter totals stay within 2x across four orders of eps
@@ -454,29 +406,85 @@ def edge_instance(draw, circular):
     return np.sort(x), float(eps), period, draw(st.integers(1, 5))
 
 
-def assert_paths_agree(x, eps, period, mp):
-    """The default (vectorized) path matches the counted sweep bit for bit."""
-    if period is None:
-        fast = calculate_neighborhood(x, eps)
-        counted = calculate_neighborhood(x, eps, counters=OpCounters())
-    else:
-        domain = CircularDomain(period)
-        fast = calculate_neighborhood_circular(x, eps, domain)
-        counted = calculate_neighborhood_circular(x, eps, domain, counters=OpCounters())
-    np.testing.assert_array_equal(fast.lower, counted.lower)
-    np.testing.assert_array_equal(fast.upper, counted.upper)
-    for policy in POLICIES:
-        params = DbscanParams(eps, mp, policy)
-        if period is None:
-            labels, clusters = dbscan_1d(x, params)
-            ref_labels, ref_clusters = dbscan_1d(x, params, counters=OpCounters())
+def fuzz_cases(count, seed):
+    """Seeded (x, eps, period, min_points, policy) cases on rounding edges.
+
+    Cycles through both metrics, all three policies and three value kinds:
+    rounded uniform values, lattice values with eps a multiple of the step,
+    and duplicate runs.  Circular cases may hold a value one ulp below the
+    period and use eps from 0 up to one ulp below period / 2.
+    """
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        circular = t % 2 == 1
+        policy = POLICIES[t % 3]
+        kind = t // 6 % 3
+        n = int(rng.integers(1, 61))
+        period = float(rng.choice([0.7, 1.0, np.pi, TWO_PI, 10.0])) if circular else None
+        span = period if circular else 10.0
+        if kind == 0:
+            x = np.round(rng.random(n) * span, int(rng.integers(0, 3)))
+            eps = float(rng.random()) * span / 2.0
+        elif kind == 1:
+            step = float(rng.choice([0.1, 0.25, 1.0 / 3.0, 0.7]))
+            x = rng.integers(0, 40, n) * step
+            eps = step * int(rng.integers(0, 5))
         else:
-            labels, clusters = dbscan_1d_circular(x, params, domain)
-            ref_labels, ref_clusters = dbscan_1d_circular(
-                x, params, domain, counters=OpCounters()
-            )
-        np.testing.assert_array_equal(labels, ref_labels)
-        assert clusters == ref_clusters
+            x = rng.choice(rng.random(int(rng.integers(1, 7))) * span, n)
+            eps = float(rng.random()) * span / 4.0
+        if rng.random() < 0.1:
+            eps = 0.0
+        if circular:
+            x = np.mod(x, period)
+            if rng.random() < 0.2:
+                x[0] = np.nextafter(period, 0.0)
+            x[x >= period] = 0.0
+            if eps >= period / 2.0 or rng.random() < 0.1:
+                eps = float(np.nextafter(period / 2.0, 0.0))
+        yield np.sort(x), eps, period, int(rng.integers(1, 6)), policy
+
+
+def cluster_counted(x, eps, period, mp, policy, counters=None):
+    params = DbscanParams(eps, mp, policy)
+    if period is None:
+        return dbscan_1d(x, params, counters=counters)
+    return dbscan_1d_circular(x, params, CircularDomain(period), counters=counters)
+
+
+def assert_matches_sweep(x, eps, period, mp, policy):
+    """Labels, ranges and derived counters equal the reference sweep's.
+
+    Returns the sweep's bounds and step count.
+    """
+    lower, upper, ref_labels, ref_lo, ref_hi, steps, touches = run_sweep(
+        x, eps, mp, policy, period
+    )
+    counters = OpCounters()
+    labels, clusters = cluster_counted(x, eps, period, mp, policy, counters)
+    assert np.array_equal(labels, ref_labels)
+    assert clusters == ClusterSequence(ref_lo, ref_hi)
+    assert counters == OpCounters(steps, touches)
+    return lower, upper, steps
+
+
+def assert_paths_agree(x, eps, period, mp):
+    """Bounds, labels, ranges and counters match the reference sweep exactly.
+
+    Covers every border policy and the bound tables of
+    ``calculate_neighborhood*``.
+    """
+    for policy in POLICIES:
+        lower, upper, steps = assert_matches_sweep(x, eps, period, mp, policy)
+    counters = OpCounters()
+    if period is None:
+        table = calculate_neighborhood(x, eps, counters=counters)
+    else:
+        table = calculate_neighborhood_circular(
+            x, eps, CircularDomain(period), counters=counters
+        )
+    np.testing.assert_array_equal(table.lower, lower)
+    np.testing.assert_array_equal(table.upper, upper)
+    assert counters == OpCounters(steps, 0)
 
 
 class TestCountedPathEquivalence:
@@ -498,6 +506,13 @@ class TestCountedPathEquivalence:
     def test_circular_random(self, inst):
         x, eps, period, mp = inst
         assert_paths_agree(x, eps, period, mp)
+
+    def test_seeded_fuzz(self):
+        cases = 0
+        for x, eps, period, mp, policy in fuzz_cases(20_000, seed=17):
+            assert_matches_sweep(x, eps, period, mp, policy)
+            cases += 1
+        assert cases == 20_000
 
     def test_larger_than_a_block(self):
         # chains, duplicate runs and border points straddle block edges
@@ -584,6 +599,22 @@ class TestRecluster:
         )
         assert out.tolist() == [-1, -1]
         assert len(clusters) == 0
+
+    def test_values_checked_like_dbscan_1d(self):
+        scratch = DbscanScratch(4)
+        params = DbscanParams(0.5, 2)
+
+        def run(values):
+            values = np.asarray(values, dtype=np.float64)
+            out = np.empty(values.shape, np.int64)
+            return recluster_subrange(values, params, scratch=scratch, out_labels=out)
+
+        with pytest.raises(UnsortedInputError):
+            run([3.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            run([1.0, np.nan, 2.0])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            run([[1.0, 2.0], [3.0, 4.0]])
 
     def test_out_labels_must_match(self):
         scratch = DbscanScratch(4)
