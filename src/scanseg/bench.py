@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dbscan1d import DbscanParams, DbscanScratch, OpCounters, dbscan_1d
+from .dbscan1d import DbscanParams, OpCounters, dbscan_1d
 from .scan_io import _maybe_open
 
 CSV_COLUMNS = (
@@ -114,7 +114,6 @@ def bench_scaling(sizes, trials: int = 3, seed: int = 0) -> BenchResult:
         raise ValueError("trials must be >= 1")
     _kernels.warmup()
     rng = np.random.Generator(np.random.Philox(seed))
-    scratch = DbscanScratch(max(sizes))
     rows = []
     for n in sizes:
         data = generate_separated_clusters(n, rng)
@@ -130,7 +129,7 @@ def bench_scaling(sizes, trials: int = 3, seed: int = 0) -> BenchResult:
             t0 = time.perf_counter_ns()
             work.sort()
             t1 = time.perf_counter_ns()
-            _, clusters = dbscan_1d(work, params, scratch=scratch, counters=counters)
+            _, clusters = dbscan_1d(work, params, counters=counters)
             t2 = time.perf_counter_ns()
             sort_ns += t1 - t0
             cluster_ns += t2 - t1
@@ -170,7 +169,6 @@ def bench_epsilon_sweep(
     t0 = time.perf_counter_ns()
     data.sort()
     sort_ns = time.perf_counter_ns() - t0
-    scratch = DbscanScratch(n)
     rows = []
     for eps in epsilons:
         params = DbscanParams(eps, min_points)
@@ -180,7 +178,7 @@ def bench_epsilon_sweep(
         for _ in range(trials):
             counters.reset()
             t1 = time.perf_counter_ns()
-            _, clusters = dbscan_1d(data, params, scratch=scratch, counters=counters)
+            _, clusters = dbscan_1d(data, params, counters=counters)
             t2 = time.perf_counter_ns()
             cluster_ns += t2 - t1
         rows.append(

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import _kernels as _k
 
-NOT_VISITED = 0
 NOISE = _k.NOISE
 
 
@@ -82,8 +81,17 @@ class DbscanParams:
     def __post_init__(self):
         if not np.isfinite(self.epsilon) or self.epsilon < 0.0:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if int(self.min_points) != self.min_points or self.min_points < 1:
-            raise ValueError(f"min_points must be an integer >= 1, got {self.min_points}")
+        _check_min_points(self.min_points)
+
+
+def _check_min_points(min_points) -> None:
+    """Raise ValueError unless ``min_points`` is a whole number >= 1."""
+    try:
+        whole = int(min_points) == min_points
+    except (OverflowError, ValueError):  # +-inf, NaN
+        whole = False
+    if not whole or min_points < 1:
+        raise ValueError(f"min_points must be an integer >= 1, got {min_points}")
 
 
 @dataclass(frozen=True)
@@ -121,26 +129,6 @@ class OpCounters:
     @property
     def total(self) -> int:
         return self.neighborhood_steps + self.expand_touches
-
-
-@dataclass(frozen=True)
-class NeighborhoodTable:
-    """Per-point neighborhood bounds over a sorted array.
-
-    For point ``i`` the closed index range ``lower[i] .. upper[i]`` holds
-    exactly the points within epsilon.  In the circular case the range is
-    unwrapped: entries below 0 or at/above N refer to the value at the
-    index modulo N, shifted by a whole period.  ``period`` is None for
-    the linear variant.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-    period: float | None = None
-
-    def size(self, index: int) -> int:
-        """Neighborhood cardinality of one point, self included."""
-        return int(self.upper[index] - self.lower[index] + 1)
 
 
 class Cluster1D(NamedTuple):
@@ -221,19 +209,6 @@ class ClusterSequence(Sequence):
         return f"ClusterSequence(<{len(self)} clusters>)"
 
 
-class DbscanScratch:
-    """Reusable bound arrays (lower/upper) so repeated runs skip reallocation."""
-
-    def __init__(self, capacity: int = 0):
-        self.lower = self.upper = np.empty(0, np.int64)
-        self.reserve(max(int(capacity), 1))
-
-    def reserve(self, n: int) -> None:
-        if self.lower.shape[0] < n:
-            self.lower = np.empty(n, np.int64)
-            self.upper = np.empty(n, np.int64)
-
-
 def _checked_values(values) -> np.ndarray:
     x = np.ascontiguousarray(values, dtype=np.float64)
     if x.ndim != 1:
@@ -266,37 +241,31 @@ def _checked_circular(x: np.ndarray, epsilon: float, domain: CircularDomain) -> 
         )
 
 
-def calculate_neighborhood(
-    values, epsilon: float, *, counters: OpCounters | None = None
-) -> NeighborhoodTable:
+def calculate_neighborhood(values, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Compute all epsilon-neighborhood bounds of a sorted array.
 
-    Returns a table whose closed range ``lower[i] .. upper[i]`` holds the
-    neighbors of point ``i``.  ``counters`` gains the paper sweep's
-    exactly 2 * N pointer steps.
+    Returns ``(lower, upper)``: the closed index range ``lower[i] ..
+    upper[i]`` holds the neighbors of point ``i``.  The paper sweep's
+    pointer steps on them are ``_kernels.sweep_steps(lower, upper)``,
+    exactly 2 * N.
     """
     x = _checked_values(values)
     epsilon = _checked_epsilon(epsilon)
     lower = np.empty(x.size, np.int64)
     upper = np.empty(x.size, np.int64)
     _k.linear_bounds(x, epsilon, lower, upper)
-    if counters is not None:
-        counters.neighborhood_steps += _k.sweep_steps(lower, upper)
-    return NeighborhoodTable(lower, upper)
+    return lower, upper
 
 
 def calculate_neighborhood_circular(
-    values,
-    epsilon: float,
-    domain: CircularDomain,
-    *,
-    counters: OpCounters | None = None,
-) -> NeighborhoodTable:
+    values, epsilon: float, domain: CircularDomain
+) -> tuple[np.ndarray, np.ndarray]:
     """Neighborhood bounds with wrap-around distance on ``domain``.
 
     Values must lie in [0, period) and epsilon below period / 2 so that a
     neighborhood never covers more than the whole ring.  Bounds are
-    unwrapped indices (possibly < 0 or >= N).
+    unwrapped indices: entries below 0 or at/above N refer to the value
+    at the index modulo N, shifted by a whole period.
     """
     x = _checked_values(values)
     epsilon = _checked_epsilon(epsilon)
@@ -304,28 +273,20 @@ def calculate_neighborhood_circular(
     lower = np.empty(x.size, np.int64)
     upper = np.empty(x.size, np.int64)
     _k.circular_bounds(x, epsilon, domain.period, lower, upper)
-    if counters is not None:
-        counters.neighborhood_steps += _k.sweep_steps(lower, upper)
-    return NeighborhoodTable(lower, upper, domain.period)
+    return lower, upper
 
 
 def _run(
     x: np.ndarray,
     params: DbscanParams,
     domain: CircularDomain | None,
-    scratch: DbscanScratch | None,
     counters: OpCounters | None,
     out_labels: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ClusterSequence]:
     n = x.size
     labels = np.empty(n, np.int64) if out_labels is None else out_labels
-    if scratch is None:
-        lower = np.empty(n, np.int64)
-        upper = np.empty(n, np.int64)
-    else:
-        scratch.reserve(n)
-        lower = scratch.lower[:n]
-        upper = scratch.upper[:n]
+    lower = np.empty(n, np.int64)
+    upper = np.empty(n, np.int64)
     circular = domain is not None
     if circular:
         _k.circular_bounds(x, params.epsilon, domain.period, lower, upper)
@@ -349,7 +310,6 @@ def dbscan_1d(
     values,
     params: DbscanParams,
     *,
-    scratch: DbscanScratch | None = None,
     counters: OpCounters | None = None,
 ) -> tuple[np.ndarray, ClusterSequence]:
     """Cluster sorted values.
@@ -359,7 +319,7 @@ def dbscan_1d(
     discovery (ascending seed) order.
     """
     x = _checked_values(values)
-    return _run(x, params, None, scratch, counters)
+    return _run(x, params, None, counters)
 
 
 def dbscan_1d_circular(
@@ -367,7 +327,6 @@ def dbscan_1d_circular(
     params: DbscanParams,
     domain: CircularDomain,
     *,
-    scratch: DbscanScratch | None = None,
     counters: OpCounters | None = None,
 ) -> tuple[np.ndarray, ClusterSequence]:
     """Cluster sorted values living on a ring of ``domain.period``.
@@ -378,26 +337,25 @@ def dbscan_1d_circular(
     """
     x = _checked_values(values)
     _checked_circular(x, params.epsilon, domain)
-    return _run(x, params, domain, scratch, counters)
+    return _run(x, params, domain, counters)
 
 
 def recluster_subrange(
     values: np.ndarray,
     params: DbscanParams,
     *,
-    scratch: DbscanScratch,
     counters: OpCounters | None = None,
     out_labels: np.ndarray,
 ) -> ClusterSequence:
-    """Linear clustering into caller-owned buffers, for tight inner loops.
+    """Linear clustering into a caller-owned label array, for tight loops.
 
     ``values`` must be sorted and is checked like ``dbscan_1d``'s; a sorted
     float64 array is used without a copy.  ``out_labels`` (same length)
     receives the labels.  Used by the scan segmentation stage that
-    reclusters each angular group by distance without reallocating.
+    reclusters each angular group by distance into one label buffer.
     """
     x = _checked_values(values)
     if out_labels.shape != x.shape or out_labels.dtype != np.int64:
         raise ValueError("out_labels must be an int64 array matching values")
-    _, clusters = _run(x, params, None, scratch, counters, out_labels=out_labels)
+    _, clusters = _run(x, params, None, counters, out_labels=out_labels)
     return clusters

@@ -28,10 +28,6 @@ RESULTANT_TOL = 1e-9
 _ANGLE_BLOCK = 8192
 
 
-class DegenerateLineError(ValueError):
-    """General-form coefficients describe no line (a = b = 0)."""
-
-
 class DegenerateFitError(ValueError):
     """All points coincide, so no line fit exists."""
 
@@ -84,21 +80,6 @@ class PolarLine:
         return wrap_angle(self.theta + 0.5 * math.pi, math.pi)
 
 
-@dataclass(frozen=True)
-class GeneralLine:
-    """Line as ``a x + b y + c = 0``; (a, b) must not both vanish."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and np.isfinite(self.c)):
-            raise ValueError("coefficients must be finite")
-        if self.a == 0.0 and self.b == 0.0:
-            raise DegenerateLineError("a and b are both zero")
-
-
 def canonical_polar(d: float, theta: float) -> PolarLine:
     """Canonicalize an unrestricted (d, theta) pair into a PolarLine.
 
@@ -114,12 +95,6 @@ def canonical_polar(d: float, theta: float) -> PolarLine:
     if d == 0.0 and theta >= math.pi:
         theta -= math.pi
     return PolarLine(d, theta)
-
-
-def normalize_general_to_polar(line: GeneralLine) -> PolarLine:
-    """Convert general form to canonical polar form."""
-    n = math.hypot(line.a, line.b)
-    return canonical_polar(-line.c / n, math.atan2(line.b, line.a))
 
 
 def tls_fit(points) -> PolarLine:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .dbscan1d import NOISE, NOT_VISITED, BorderPolicy
+from .dbscan1d import NOISE, BorderPolicy
 from .geometry import (
     ISO_TOL,
     DegenerateFitError,
@@ -26,6 +26,8 @@ from .geometry import (
     PolarLine,
     canonical_polar,
 )
+
+NOT_VISITED = 0
 
 
 def naive_neighborhood(values, index: int, epsilon: float, period: float | None = None):
@@ -41,6 +43,22 @@ def naive_neighborhood(values, index: int, epsilon: float, period: float | None 
     return np.array(out, dtype=np.int64)
 
 
+def _closure(nbrs, seed: int, min_points: int):
+    """``(members, cores)`` reachable from core ``seed``; ``nbrs[i]`` is i's neighborhood."""
+    cores = {seed}
+    queue = [seed]
+    members = set()
+    while queue:
+        c = queue.pop()
+        for j in nbrs[c]:
+            j = int(j)
+            members.add(j)
+            if nbrs[j].size >= min_points and j not in cores:
+                cores.add(j)
+                queue.append(j)
+    return np.array(sorted(members), np.int64), np.array(sorted(cores), np.int64)
+
+
 def density_reachable_closure(
     values, seed: int, epsilon: float, min_points: int, period: float | None = None
 ):
@@ -54,18 +72,7 @@ def density_reachable_closure(
     nbrs = [naive_neighborhood(x, i, epsilon, period) for i in range(x.size)]
     if nbrs[seed].size < min_points:
         raise ValueError(f"seed {seed} is not a core point")
-    cores = {seed}
-    queue = [seed]
-    members = set()
-    while queue:
-        c = queue.pop()
-        for j in nbrs[c]:
-            j = int(j)
-            members.add(j)
-            if nbrs[j].size >= min_points and j not in cores:
-                cores.add(j)
-                queue.append(j)
-    return np.array(sorted(members), np.int64), np.array(sorted(cores), np.int64)
+    return _closure(nbrs, seed, min_points)
 
 
 def naive_dbscan(
@@ -95,7 +102,7 @@ def naive_dbscan(
             labels[i] = NOISE
             continue
         cid += 1
-        members, _ = density_reachable_closure(x, i, epsilon, min_points, period)
+        members, _ = _closure(nbrs, i, min_points)
         for j in members:
             if border_policy is BorderPolicy.AS_NOISE:
                 if is_core[j]:

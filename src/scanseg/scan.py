@@ -58,6 +58,8 @@ class Scan:
         """Build a scan from cartesian returns (sensor at the origin)."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         y = np.ascontiguousarray(y, dtype=np.float64)
+        if x.shape != y.shape:
+            raise ValueError(f"x and y must have equal shapes, got {x.shape} and {y.shape}")
         angles = np.arctan2(y, x) % TWO_PI
         angles[angles >= TWO_PI] = 0.0
         if valid is None:

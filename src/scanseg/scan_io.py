@@ -19,7 +19,6 @@ to those of the earlier one-beam-at-a-time cast.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from contextlib import contextmanager
@@ -95,16 +94,6 @@ def load_scan(source) -> Scan:
         ranges[i] = r
         valid[i] = v
     return Scan(angles, ranges, valid, full_circle)
-
-
-def save_points(values, sink, period: float | None = None) -> None:
-    """Write a 1D point list, optionally with a circular-period header."""
-    x = np.asarray(values, dtype=np.float64)
-    with _maybe_open(sink, "w") as f:
-        if period is not None:
-            f.write(f"# circular period={float(period)!r}\n")
-        for v in x:
-            f.write(f"{float(v)!r}\n")
 
 
 def load_points(source) -> tuple[np.ndarray, float | None]:

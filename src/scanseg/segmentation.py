@@ -7,15 +7,15 @@ each angular cluster, projects its members onto the mean-direction
 normal, and reclusters by that signed distance, which separates parallel
 features that agree in angle but lie on different lines.
 
-Points that survive neither stage are noise.  Both stages share one
-scratch allocation sized by the per-scan point count, which is known up
-front.
+Points that survive neither stage are noise.  Stage 2 writes the labels
+of every angular cluster into one buffer sized by the per-scan point
+count, which is known up front.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .dbscan1d import (
     BorderPolicy,
     CircularDomain,
     DbscanParams,
-    DbscanScratch,
     OpCounters,
+    _check_min_points,
     dbscan_1d_circular,
     recluster_subrange,
 )
@@ -65,8 +65,7 @@ class SegmentationParams:
             )
         if not np.isfinite(self.epsilon_dist) or self.epsilon_dist <= 0.0:
             raise ValueError(f"epsilon_dist must be > 0, got {self.epsilon_dist}")
-        if int(self.min_points) != self.min_points or self.min_points < 1:
-            raise ValueError(f"min_points must be an integer >= 1, got {self.min_points}")
+        _check_min_points(self.min_points)
 
 
 @dataclass
@@ -127,10 +126,9 @@ def angular_segmentation(
     order = np.argsort(theta[orig], kind="stable")
     perm = orig[order]
     theta_sorted = np.ascontiguousarray(theta[perm])
-    scratch = DbscanScratch(m)
     stage1 = DbscanParams(params.epsilon_theta, params.min_points, params.border_policy)
     labels1, angular_clusters = dbscan_1d_circular(
-        theta_sorted, stage1, CircularDomain(math.pi), scratch=scratch, counters=counters
+        theta_sorted, stage1, CircularDomain(math.pi), counters=counters
     )
 
     # stage 2: within each angular cluster, recluster by signed distance
@@ -157,7 +155,7 @@ def angular_segmentation(
         sub_orig = member_orig[suborder]
         sub_labels = labels2[: pos.size]
         subclusters = recluster_subrange(
-            dist_sorted, stage2, scratch=scratch, counters=counters, out_labels=sub_labels
+            dist_sorted, stage2, counters=counters, out_labels=sub_labels
         )
         for sc in subclusters:
             spos = _member_positions(sub_labels, sc, dist_sorted.size, all_policy)

@@ -31,6 +31,7 @@ from scanseg import (
     generate_scan,
     wrap_angle,
 )
+from scanseg._kernels import sweep_steps
 from scanseg.bench import (
     DEFAULT_MIN_POINTS,
     bench_epsilon_sweep,
@@ -124,8 +125,8 @@ def test_criterion_1_corpus_counted_sweep_agrees():
 def test_criterion_2_wraparound_bounds_bit_exact():
     """The circular sweep reproduces the canonical wrap instance exactly."""
     x = np.sort(np.array([0.0, np.pi / 4, np.pi, 2 * np.pi - np.pi / 4]))
-    table = calculate_neighborhood_circular(x, np.pi / 2, CircularDomain(2 * np.pi))
-    u3, l1 = int(table.upper[3]), int(table.lower[1])
+    lower, upper = calculate_neighborhood_circular(x, np.pi / 2, CircularDomain(2 * np.pi))
+    u3, l1 = int(upper[3]), int(lower[1])
     print(f"\n[2] wrap-around bounds: u_3={u3} (want 5), l_1={l1} (want -1)")
     assert u3 == 5
     assert l1 == -1
@@ -311,28 +312,28 @@ def test_criterion_8_property_corpus():
             x = np.sort(rng.random(n) * 10)
             eps = log_uniform(rng, 1e-3, 10.0)
             counters = OpCounters()
-            table = calculate_neighborhood(x, eps, counters=counters)
+            lower, upper = calculate_neighborhood(x, eps)
             labels, clusters = dbscan_1d(
                 x, DbscanParams(eps, mp, policy), counters=counters
             )
-            assert counters.neighborhood_steps == 2 * (2 * n)  # both calls sweep
+            assert sweep_steps(lower, upper) == 2 * n
+            assert counters.neighborhood_steps == 2 * n
             assert counters.expand_touches <= 2 * n
         else:
             period = float(rng.random() * 9 + 1)
             x = np.sort(np.minimum(rng.random(n) * period, np.nextafter(period, 0)))
             eps = log_uniform(rng, 1e-3 * period, 0.499 * period)
             counters = OpCounters()
-            table = calculate_neighborhood_circular(
-                x, eps, CircularDomain(period), counters=counters
-            )
+            lower, upper = calculate_neighborhood_circular(x, eps, CircularDomain(period))
             labels, clusters = dbscan_1d_circular(
                 x, DbscanParams(eps, mp, policy), CircularDomain(period), counters=counters
             )
-            assert counters.neighborhood_steps <= 2 * (4 * n - 2)
+            assert sweep_steps(lower, upper) <= 4 * n - 2
+            assert counters.neighborhood_steps == sweep_steps(lower, upper)
             assert counters.expand_touches <= 2 * n
         # bound monotonicity
-        assert np.all(np.diff(table.lower) >= 0)
-        assert np.all(np.diff(table.upper) >= 0)
+        assert np.all(np.diff(lower) >= 0)
+        assert np.all(np.diff(upper) >= 0)
         # coverage: every point is noise or labeled; ids are real clusters
         ids = {c.id for c in clusters}
         assert set(np.unique(labels)) <= ids | {-1}

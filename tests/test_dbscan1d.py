@@ -13,7 +13,6 @@ from scanseg import (
     Cluster1D,
     ClusterSequence,
     DbscanParams,
-    DbscanScratch,
     OpCounters,
     UnsortedInputError,
     calculate_neighborhood,
@@ -22,7 +21,7 @@ from scanseg import (
     dbscan_1d_circular,
     recluster_subrange,
 )
-from scanseg._kernels import VEC_BLOCK
+from scanseg._kernels import VEC_BLOCK, sweep_steps
 from scanseg.bench import generate_separated_clusters, scaling_epsilon
 from scanseg.oracle import density_reachable_closure, naive_dbscan, naive_neighborhood
 from sweep_reference import run_sweep
@@ -61,51 +60,46 @@ def circular_instance(draw, max_size=50):
 
 class TestNeighborhoodBounds:
     def test_linear_worked_example(self):
-        counters = OpCounters()
-        table = calculate_neighborhood([0.0, 1.0, 2.0, 10.0], 1.5, counters=counters)
-        assert table.lower.tolist() == [0, 0, 1, 3]
-        assert table.upper.tolist() == [1, 2, 2, 3]
-        assert counters.neighborhood_steps == 8
+        lower, upper = calculate_neighborhood([0.0, 1.0, 2.0, 10.0], 1.5)
+        assert lower.tolist() == [0, 0, 1, 3]
+        assert upper.tolist() == [1, 2, 2, 3]
+        assert sweep_steps(lower, upper) == 8
 
     def test_single_point(self):
-        counters = OpCounters()
-        table = calculate_neighborhood([5.0], 1.5, counters=counters)
-        assert table.lower.tolist() == [0]
-        assert table.upper.tolist() == [0]
-        assert counters.neighborhood_steps == 2
+        lower, upper = calculate_neighborhood([5.0], 1.5)
+        assert lower.tolist() == [0]
+        assert upper.tolist() == [0]
+        assert sweep_steps(lower, upper) == 2
 
     def test_zero_epsilon_duplicates(self):
         # closed neighborhoods: exact duplicates are mutual neighbors at eps=0
-        table = calculate_neighborhood([0.0, 0.0, 0.0], 0.0)
-        assert table.lower.tolist() == [0, 0, 0]
-        assert table.upper.tolist() == [2, 2, 2]
+        lower, upper = calculate_neighborhood([0.0, 0.0, 0.0], 0.0)
+        assert lower.tolist() == [0, 0, 0]
+        assert upper.tolist() == [2, 2, 2]
 
     def test_neighborhood_size(self):
-        table = calculate_neighborhood([0.0, 1.0, 2.0, 10.0], 1.5)
-        assert table.size(1) == 3
-        assert table.size(3) == 1
+        lower, upper = calculate_neighborhood([0.0, 1.0, 2.0, 10.0], 1.5)
+        assert (upper - lower + 1).tolist() == [2, 3, 2, 1]
 
     def test_empty(self):
-        table = calculate_neighborhood([], 1.0)
-        assert table.lower.size == 0 and table.upper.size == 0
+        lower, upper = calculate_neighborhood([], 1.0)
+        assert lower.size == 0 and upper.size == 0
 
     def test_circular_wrap_example(self):
-        counters = OpCounters()
-        table = calculate_neighborhood_circular(
-            [0.1, 0.2, 3.0, 6.2], 0.3, CircularDomain(TWO_PI), counters=counters
+        lower, upper = calculate_neighborhood_circular(
+            [0.1, 0.2, 3.0, 6.2], 0.3, CircularDomain(TWO_PI)
         )
-        assert table.lower.tolist() == [-1, -1, 2, 3]
-        assert table.upper.tolist() == [1, 1, 2, 5]
-        assert counters.neighborhood_steps == 11
-        assert table.size(3) == 3
-        assert table.size(0) == 3
+        assert lower.tolist() == [-1, -1, 2, 3]
+        assert upper.tolist() == [1, 1, 2, 5]
+        assert sweep_steps(lower, upper) == 11
+        assert (upper - lower + 1).tolist() == [3, 3, 1, 3]
 
     def test_circular_low_end_wrap(self):
-        table = calculate_neighborhood_circular(
+        lower, upper = calculate_neighborhood_circular(
             [0.0, 0.1, 6.2], 0.2, CircularDomain(TWO_PI)
         )
-        assert table.lower.tolist() == [-1, -1, 2]
-        assert table.upper.tolist() == [1, 1, 4]
+        assert lower.tolist() == [-1, -1, 2]
+        assert upper.tolist() == [1, 1, 4]
 
     def test_unsorted_rejected(self):
         with pytest.raises(UnsortedInputError):
@@ -126,33 +120,29 @@ class TestNeighborhoodBounds:
 
     @given(sorted_values(), st.floats(0.0, 5.0))
     def test_bounds_monotone_and_exact(self, x, eps):
-        counters = OpCounters()
-        table = calculate_neighborhood(x, eps, counters=counters)
+        lower, upper = calculate_neighborhood(x, eps)
         n = x.size
-        assert counters.neighborhood_steps == 2 * n
+        assert sweep_steps(lower, upper) == 2 * n
         if n == 0:
             return
-        assert np.all(np.diff(table.lower) >= 0)
-        assert np.all(np.diff(table.upper) >= 0)
+        assert np.all(np.diff(lower) >= 0)
+        assert np.all(np.diff(upper) >= 0)
         for i in range(n):
             expected = naive_neighborhood(x, i, eps)
-            got = np.arange(table.lower[i], table.upper[i] + 1)
+            got = np.arange(lower[i], upper[i] + 1)
             np.testing.assert_array_equal(got, expected)
 
     @given(circular_instance())
     def test_circular_bounds_match_oracle(self, inst):
         x, eps, period, _ = inst
-        counters = OpCounters()
-        table = calculate_neighborhood_circular(
-            x, eps, CircularDomain(period), counters=counters
-        )
+        lower, upper = calculate_neighborhood_circular(x, eps, CircularDomain(period))
         n = x.size
-        assert counters.neighborhood_steps <= max(4 * n - 2, 0)
+        assert sweep_steps(lower, upper) <= max(4 * n - 2, 0)
         for i in range(n):
             expected = naive_neighborhood(x, i, eps, period=period)
-            got = np.sort(np.arange(table.lower[i], table.upper[i] + 1) % n)
+            got = np.sort(np.arange(lower[i], upper[i] + 1) % n)
             np.testing.assert_array_equal(got, expected)
-            assert table.size(i) == expected.size
+            assert upper[i] - lower[i] + 1 == expected.size
 
 
 class TestLinearRuns:
@@ -225,34 +215,6 @@ class TestLinearRuns:
         assert labels.tolist() == [-1, -1, 1, 1, 1, 1, 1, 2, 2, 2]
         assert list(clusters) == [Cluster1D(1, 2, 6), Cluster1D(2, 7, 9)]
         assert int(np.sum(labels == 2)) < 4
-
-    def test_scratch_reuse_matches_fresh(self):
-        # one scratch, reused and grown, with and without counters
-        rng = np.random.default_rng(5)
-        scratch = DbscanScratch(8)
-        params = DbscanParams(0.2, 3)
-        for _ in range(20):
-            x = np.sort(rng.random(int(rng.integers(0, 120))))
-            fresh_counters, reused_counters = OpCounters(), OpCounters()
-            fresh = dbscan_1d(x, params, counters=fresh_counters)
-            for counters in (None, reused_counters):
-                reused = dbscan_1d(x, params, scratch=scratch, counters=counters)
-                np.testing.assert_array_equal(fresh[0], reused[0])
-                assert list(fresh[1]) == list(reused[1])
-            assert fresh_counters == reused_counters
-
-    def test_counted_scratch_reuse_matches_fresh(self):
-        rng = np.random.default_rng(6)
-        scratch = DbscanScratch(8)
-        params = DbscanParams(0.2, 3)
-        for _ in range(20):
-            x = np.sort(rng.random(int(rng.integers(0, 120))))
-            fresh_counters, reused_counters = OpCounters(), OpCounters()
-            fresh = dbscan_1d(x, params, counters=fresh_counters)
-            reused = dbscan_1d(x, params, scratch=scratch, counters=reused_counters)
-            np.testing.assert_array_equal(fresh[0], reused[0])
-            assert list(fresh[1]) == list(reused[1])
-            assert fresh_counters == reused_counters
 
     def test_work_independent_of_epsilon(self):
         # fixed N: counter totals stay within 2x across four orders of eps
@@ -366,10 +328,10 @@ class TestOracleEquivalence:
         all_pol, _ = dbscan_1d(x, DbscanParams(eps, mp, BorderPolicy.ALL_CLUSTERS))
         if not np.array_equal(first, all_pol):
             return
-        table = calculate_neighborhood(x, eps)
+        lower, upper = calculate_neighborhood(x, eps)
         for cluster in clusters:
             members = np.flatnonzero(first == cluster.id)
-            cores = [i for i in members if table.size(i) >= mp]
+            cores = [i for i in members if upper[i] - lower[i] + 1 >= mp]
             assert cores, "every cluster contains at least one core"
             for p in cores:
                 closure, _ = density_reachable_closure(x, p, eps, mp)
@@ -483,21 +445,18 @@ def assert_matches_sweep(x, eps, period, mp, policy):
 def assert_paths_agree(x, eps, period, mp):
     """Bounds, labels, ranges and counters match the reference sweep exactly.
 
-    Covers every border policy and the bound tables of
+    Covers every border policy and the bounds and step count of
     ``calculate_neighborhood*``.
     """
     for policy in POLICIES:
         lower, upper, steps = assert_matches_sweep(x, eps, period, mp, policy)
-    counters = OpCounters()
     if period is None:
-        table = calculate_neighborhood(x, eps, counters=counters)
+        got_lower, got_upper = calculate_neighborhood(x, eps)
     else:
-        table = calculate_neighborhood_circular(
-            x, eps, CircularDomain(period), counters=counters
-        )
-    np.testing.assert_array_equal(table.lower, lower)
-    np.testing.assert_array_equal(table.upper, upper)
-    assert counters == OpCounters(steps, 0)
+        got_lower, got_upper = calculate_neighborhood_circular(x, eps, CircularDomain(period))
+    np.testing.assert_array_equal(got_lower, lower)
+    np.testing.assert_array_equal(got_upper, upper)
+    assert sweep_steps(got_lower, got_upper) == steps
 
 
 class TestCountedPathEquivalence:
@@ -570,12 +529,11 @@ class TestCountedPathEquivalence:
 class TestRecluster:
     def test_matches_fresh_run(self):
         rng = np.random.default_rng(9)
-        scratch = DbscanScratch(16)
         params = DbscanParams(0.15, 3)
         for _ in range(50):
             x = np.sort(rng.random(int(rng.integers(1, 80))))
             out = np.empty(x.size, np.int64)
-            clusters = recluster_subrange(x, params, scratch=scratch, out_labels=out)
+            clusters = recluster_subrange(x, params, out_labels=out)
             fresh_labels, fresh_clusters = dbscan_1d(x, params)
             np.testing.assert_array_equal(out, fresh_labels)
             assert list(clusters) == list(fresh_clusters)
@@ -604,23 +562,19 @@ class TestRecluster:
             checked += 1
 
     def test_slice_below_min_points_is_noise(self):
-        scratch = DbscanScratch(4)
         x = np.array([1.0, 1.01])
         out = np.empty(2, np.int64)
-        clusters = recluster_subrange(
-            x, DbscanParams(0.5, 3), scratch=scratch, out_labels=out
-        )
+        clusters = recluster_subrange(x, DbscanParams(0.5, 3), out_labels=out)
         assert out.tolist() == [-1, -1]
         assert len(clusters) == 0
 
     def test_values_checked_like_dbscan_1d(self):
-        scratch = DbscanScratch(4)
         params = DbscanParams(0.5, 2)
 
         def run(values):
             values = np.asarray(values, dtype=np.float64)
             out = np.empty(values.shape, np.int64)
-            return recluster_subrange(values, params, scratch=scratch, out_labels=out)
+            return recluster_subrange(values, params, out_labels=out)
 
         with pytest.raises(UnsortedInputError):
             run([3.0, 1.0, 2.0])
@@ -630,22 +584,11 @@ class TestRecluster:
             run([[1.0, 2.0], [3.0, 4.0]])
 
     def test_out_labels_must_match(self):
-        scratch = DbscanScratch(4)
         x = np.array([1.0, 2.0])
         with pytest.raises(ValueError):
-            recluster_subrange(
-                x,
-                DbscanParams(0.5, 2),
-                scratch=scratch,
-                out_labels=np.empty(3, np.int64),
-            )
+            recluster_subrange(x, DbscanParams(0.5, 2), out_labels=np.empty(3, np.int64))
         with pytest.raises(ValueError):
-            recluster_subrange(
-                x,
-                DbscanParams(0.5, 2),
-                scratch=scratch,
-                out_labels=np.empty(2, np.int32),
-            )
+            recluster_subrange(x, DbscanParams(0.5, 2), out_labels=np.empty(2, np.int32))
 
 
 class TestParams:
@@ -661,6 +604,9 @@ class TestParams:
             DbscanParams(1.0, 0)
         with pytest.raises(ValueError):
             DbscanParams(1.0, 2.5)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="min_points must be an integer >= 1"):
+                DbscanParams(1.0, bad)
 
     def test_period_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from scanseg import (
     DegenerateFitError,
-    GeneralLine,
     InsufficientDataError,
     NoiseModel,
     OrientationUndefinedError,
@@ -19,7 +18,6 @@ from scanseg import (
     circular_mean,
     estimate_local_angles,
     generate_scan,
-    normalize_general_to_polar,
     signed_distance_to_origin_line,
     tls_fit,
     wrap_angle,
@@ -46,19 +44,6 @@ def residual_ss(points, d, theta):
 
 
 class TestPolarForm:
-    @pytest.mark.parametrize(
-        "abc, expected",
-        [
-            ((0.0, 1.0, -2.0), (2.0, np.pi / 2)),
-            ((1.0, 0.0, 3.0), (3.0, np.pi)),
-            ((1.0, 1.0, 0.0), (0.0, np.pi / 4)),
-        ],
-    )
-    def test_normalize_general(self, abc, expected):
-        line = normalize_general_to_polar(GeneralLine(*abc))
-        assert line.d == pytest.approx(expected[0], abs=1e-15)
-        assert line.theta == pytest.approx(expected[1], abs=1e-15)
-
     def test_negative_distance_flips_normal(self):
         line = canonical_polar(-2.0, 0.0)
         assert line.d == 2.0
@@ -68,12 +53,6 @@ class TestPolarForm:
         line = canonical_polar(0.0, 1.5 * np.pi)
         assert line.d == 0.0
         assert 0.0 <= line.theta < np.pi
-
-    def test_degenerate_general_line(self):
-        from scanseg import DegenerateLineError
-
-        with pytest.raises(DegenerateLineError):
-            normalize_general_to_polar(GeneralLine(0.0, 0.0, 1.0))
 
     def test_polar_line_validation(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from scanseg import (
     generate_scan,
     load_points,
     load_scan,
-    save_points,
     save_scan,
 )
 from scanseg.scan_io import _BEAM_BLOCK, _cast_rays, _vertex_hit
@@ -54,6 +53,13 @@ class TestScan:
         np.testing.assert_allclose(scan.x, x, atol=1e-12)
         np.testing.assert_allclose(scan.y, y, atol=1e-12)
         assert ((scan.beam_angles >= 0) & (scan.beam_angles < 2 * np.pi)).all()
+
+    def test_from_xy_rejects_mismatched_shapes(self):
+        # numpy would broadcast y across x and invent returns
+        with pytest.raises(ValueError, match="equal shapes"):
+            Scan.from_xy(np.array([1.0, 2.0, 3.0]), np.array([0.5]))
+        with pytest.raises(ValueError, match="equal shapes"):
+            Scan.from_xy(np.ones(3), np.ones(4))
 
     @pytest.mark.parametrize("policy", list(BorderPolicy))
     def test_segmentation_leaves_scan_unchanged(self, policy):
@@ -137,16 +143,16 @@ class TestScanFile:
 
 class TestPointsFile:
     def test_round_trip(self, tmp_path):
-        values = np.array([0.0, 0.4, 0.8, 5.0, 5.3, 5.6])
+        values = np.array([0.0, 0.4, 0.8, 5.0, 5.3, 5.6, 0.1 + 0.2])
         path = tmp_path / "pts.txt"
-        save_points(values, path)
+        path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
         back, period = load_points(path)
         np.testing.assert_array_equal(back, values)
         assert period is None
 
     def test_period_header(self, tmp_path):
         path = tmp_path / "circ.txt"
-        save_points(np.array([0.1, 3.0]), path, period=2 * np.pi)
+        path.write_text(f"# circular period={2 * np.pi!r}\n0.1\n3.0\n")
         back, period = load_points(path)
         assert period == 2 * np.pi
         assert back.tolist() == [0.1, 3.0]

@@ -155,6 +155,9 @@ class TestDegenerateInputs:
             SegmentationParams(0.1, 0.0, 4)
         with pytest.raises(ValueError):
             SegmentationParams(0.1, 0.2, 0)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="min_points must be an integer >= 1"):
+                SegmentationParams(0.1, 0.2, bad)
 
 
 class TestIsolation:
