@@ -12,17 +12,17 @@ The paper's operation counts follow from the same bounds and chains:
 expansion touches that sweep would make on them.  They describe the
 paper's algorithm; the work done here is what wall-clock time measures.
 
-Label conventions shared with :mod:`scanseg.dbscan1d`: -1 means noise,
-cluster ids start at 1.
+Every function returns its arrays and leaves its inputs unchanged.  The
+border policy comes as its :class:`scanseg.dbscan1d.BorderPolicy` value
+("first", "all" or "noise").  Label conventions shared with
+:mod:`scanseg.dbscan1d`: -1 means noise, cluster ids start at 1, and a
+cluster range starts in [0, n), running past n - 1 when it crosses the
+seam of a ring.
 """
 
 import numpy as np
 
 NOISE = -1
-
-POLICY_FIRST = 0
-POLICY_ALL = 1
-POLICY_AS_NOISE = 2
 
 
 # Bounds: a searchsorted guess per point, corrected to the exact predicate
@@ -31,8 +31,8 @@ POLICY_AS_NOISE = 2
 # upper bound, and a non-core point can only be reached by the cluster of
 # its previous core and that of its next core, so whole clusters follow
 # from their first and last cores.  Work runs in blocks of VEC_BLOCK
-# points: besides the caller's bounds and labels, every array scales with
-# the block or with the number of clusters.
+# points: besides the bounds and labels, every array scales with the block
+# or with the number of clusters.
 
 VEC_BLOCK = 1 << 15
 
@@ -88,18 +88,22 @@ def _block_bounds(x, eps, a, b, lower, upper):
     lower[a + 1 : b] += start
 
 
-def linear_bounds(x, eps, lower, upper):
-    """Fill per-point neighborhood bounds of sorted values.
+def linear_bounds(x, eps):
+    """Per-point neighborhood bounds ``(lower, upper)`` of sorted values.
 
     upper[i] is the largest j with x[j] - x[i] <= eps, lower[i] the smallest
     j with x[i] - x[j] <= eps.
     """
-    for a, b in _blocks(x.shape[0]):
+    n = x.shape[0]
+    lower = np.empty(n, np.int64)
+    upper = np.empty(n, np.int64)
+    for a, b in _blocks(n):
         _block_bounds(x, eps, a, b, lower, upper)
+    return lower, upper
 
 
-def circular_bounds(x, eps, period, lower, upper):
-    """Neighborhood bounds on a circle of the given period.
+def circular_bounds(x, eps, period):
+    """Neighborhood bounds ``(lower, upper)`` on a circle of the given period.
 
     Values live in [0, period) and eps must be below period / 2.  Bounds are
     unwrapped indices: upper[i] may reach len(x) + i - 1 and lower[i] may go
@@ -112,8 +116,8 @@ def circular_bounds(x, eps, period, lower, upper):
     from the other end.
     """
     n = x.shape[0]
+    lower, upper = linear_bounds(x, eps)
     for a, b in _blocks(n):
-        _block_bounds(x, eps, a, b, lower, upper)
         xi, lo, up = x[a:b], lower[a:b], upper[a:b]
         t = np.flatnonzero(up == n - 1)
         if t.size:
@@ -131,6 +135,7 @@ def circular_bounds(x, eps, period, lower, upper):
             j -= 1
             _last_fit(x, j, lambda v, k: period - (v - xh[k]) > eps)
             lo[h] = j + 1 - n
+    return lower, upper
 
 
 def core_chains(lower, upper, min_points):
@@ -165,13 +170,12 @@ def core_chains(lower, upper, min_points):
     return np.concatenate(firsts), np.concatenate(lasts), cores
 
 
-def _fill(labels, start, end, ids):
-    """labels = ids over the closed segments [start, end], NOISE elsewhere.
+def _fill(n, start, end, ids):
+    """Labels: ids over the closed segments [start, end], NOISE elsewhere.
 
     Segments are unwrapped (start may be negative, end may pass n - 1) and
     must be disjoint modulo n.  Works by adding steps and one cumsum.
     """
-    n = labels.shape[0]
     start = start.copy()
     end = end.copy()
     neg = start < 0
@@ -182,69 +186,76 @@ def _fill(labels, start, end, ids):
         start = np.concatenate((start, np.zeros(int(over.sum()), np.int64)))
         end = np.concatenate((np.where(over, n - 1, end), end[over] - n))
         ids = np.concatenate((ids, ids[over]))
-    labels[:] = 0
+    labels = np.zeros(n, np.int64)
     labels[0] = NOISE
     labels[start] += ids - NOISE
     stop = end < n - 1
     labels[end[stop] + 1] -= ids[stop] - NOISE
-    np.cumsum(labels, out=labels)
+    return np.cumsum(labels, out=labels)
 
 
-def label_clusters(lower, upper, chains, min_points, policy, labels, circular):
-    """Label every point from its bounds; returns the raw (lo, hi) ranges.
+def label_clusters(lower, upper, chains, min_points, policy, circular):
+    """Label every point from its bounds; returns ``(labels, lo, hi)``.
 
-    ``chains`` is core_chains() of the same bounds.  Gives the labels and
-    ranges of the paper's sweep on these bounds, including its order of
+    ``chains`` is core_chains() of the same bounds and ``policy`` a border
+    policy value: "first", "all" or "noise".  Gives the labels and ranges
+    of the paper's sweep on these bounds, including its order of
     discovery: clusters are numbered by the first core an ascending sweep
     meets, so on a ring the chain through index 0 is cluster 1 and takes
     in the chain that closes on it across the seam.
     Under FIRST_CLUSTER a border point goes to the smaller of the (at most
     two) cluster ids that reach it, under ALL_CLUSTERS to the larger.
+    The closed ranges lo[c]..hi[c] come back normalized: every lo lies in
+    [0, n), and a range across the seam runs hi past n - 1.
     """
-    n = labels.shape[0]
+    n = upper.shape[0]
     first, last, cores = chains
     if not cores:
-        labels[:] = NOISE
-        return first, last
-    seed = first[:1].copy()
-    if circular and first[0] + n <= upper[last[-1]]:
-        if first.size > 1:
-            # the last chain closes on the first one across the seam
-            first = np.concatenate(([first[-1] - n], first[1:-1]))
-            last = last[:-1]
+        return np.full(n, NOISE, np.int64), first, last
+    seed = first[:1]
+    if circular and first.size > 1 and first[0] + n <= upper[last[-1]]:
+        # the last chain closes on the first one across the seam
+        first = np.concatenate(([first[-1] - n], first[1:-1]))
+        last = last[:-1]
     k = first.size
     ids = np.arange(1, k + 1, dtype=np.int64)
     shift = np.where(first < 0, -n, 0)
     reach_lo = lower[first - shift] + shift
     reach_hi = upper[last]
     if k == 1 and circular and (
-        cores == n if policy == POLICY_AS_NOISE else reach_hi[0] - reach_lo[0] + 1 >= n
+        cores == n if policy == "noise" else reach_hi[0] - reach_lo[0] + 1 >= n
     ):
         # every point is absorbed: the whole ring, from the seed
-        labels[:] = 1
-        return seed, seed + n - 1
-    if policy == POLICY_AS_NOISE:
-        _fill(labels, first, last, ids)
+        labels = np.ones(n, np.int64)
+        lo, hi = seed, seed + n - 1
+    elif policy == "noise":
+        labels = _fill(n, first, last, ids)
         for a, b in _blocks(n):
             labels[a:b][upper[a:b] - lower[a:b] < min_points - 1] = NOISE
-        return first, last
-    if policy == POLICY_FIRST:
+        lo, hi = first, last
+    elif policy == "first":
         # each cluster keeps what it reaches before the next one can
         lo = reach_lo.copy()
         np.maximum(reach_lo[1:], reach_hi[:-1] + 1, out=lo[1:])
         hi = reach_hi.copy()
         if circular and k > 1:
             hi[-1] = min(hi[-1], reach_lo[0] + n - 1)
-        _fill(labels, lo, hi, ids)
-        return lo, hi
-    # ALL_CLUSTERS: ranges are the full reach, labels go to the last claimant
-    seg_lo = reach_lo.copy()
-    seg_hi = reach_hi.copy()
-    np.minimum(reach_hi[:-1], reach_lo[1:] - 1, out=seg_hi[:-1])
-    if circular and k > 1:
-        seg_lo[0] = max(seg_lo[0], reach_hi[-1] - n + 1)
-    _fill(labels, seg_lo, seg_hi, ids)
-    return reach_lo, reach_hi
+        labels = _fill(n, lo, hi, ids)
+    else:
+        # ALL_CLUSTERS: ranges are the full reach, labels go to the last
+        # claimant
+        seg_lo = reach_lo.copy()
+        seg_hi = reach_hi.copy()
+        np.minimum(reach_hi[:-1], reach_lo[1:] - 1, out=seg_hi[:-1])
+        if circular and k > 1:
+            seg_lo[0] = max(seg_lo[0], reach_hi[-1] - n + 1)
+        labels = _fill(n, seg_lo, seg_hi, ids)
+        lo, hi = reach_lo, reach_hi
+    if circular:
+        # a range that starts below index 0 is reported one turn up
+        turn = np.where(lo < 0, n, 0)
+        lo, hi = lo + turn, hi + turn
+    return labels, lo, hi
 
 
 def sweep_steps(lower, upper):
@@ -284,7 +295,7 @@ def sweep_touches(lower, upper, chains, policy, circular):
         low = min(low, int(lower[first[-1]]) - n)
         reach = reach[:-1]
     touches = min(int(upper[last[0]]), f + n - 1) - low
-    if policy != POLICY_AS_NOISE or cores == n:
+    if policy != "noise" or cores == n:
         touches = min(touches, n - 1)
     return touches + int(reach[1:].sum())
 
@@ -294,12 +305,8 @@ def warmup():
     circular, so that a benchmark's first timed call pays no one-time
     costs."""
     x = np.array([0.0, 0.05, 0.2, 5.0])
-    lower = np.empty(4, np.int64)
-    upper = np.empty(4, np.int64)
-    labels = np.empty(4, np.int64)
-    linear_bounds(x, 0.1, lower, upper)
-    chains = core_chains(lower, upper, 2)
-    label_clusters(lower, upper, chains, 2, POLICY_FIRST, labels, False)
-    circular_bounds(x, 0.1, 2.0 * np.pi, lower, upper)
-    chains = core_chains(lower, upper, 2)
-    label_clusters(lower, upper, chains, 2, POLICY_FIRST, labels, True)
+    for circular, (lower, upper) in (
+        (False, linear_bounds(x, 0.1)),
+        (True, circular_bounds(x, 0.1, 2.0 * np.pi)),
+    ):
+        label_clusters(lower, upper, core_chains(lower, upper, 2), 2, "first", circular)

@@ -8,8 +8,8 @@ chains that path computes, so they are deterministic and carry the
 complexity claims; wall times carry the real (O(N log N)) cost and are
 only ever checked with loose tolerances, since clocks are machine noise.
 
-The data generator makes k = ceil(sqrt(N)) uniform clusters of width w
-separated by 10 w gaps, so for the paired epsilon choice the average
+The data generator makes k = ceil(sqrt(N)) uniform clusters of width 1
+separated by gaps of 10, so for the paired epsilon choice the average
 neighborhood stays near log N.  The exact generator constants are a
 documented choice; only the qualitative regime (small neighborhoods,
 well-separated clusters) matters for the claims.
@@ -55,7 +55,6 @@ class BenchRow:
 
 @dataclass(frozen=True)
 class BenchResult:
-    experiment: str
     rows: list[BenchRow]
 
 
@@ -75,26 +74,26 @@ def _ceil_sqrt(n: int) -> int:
     return math.isqrt(n - 1) + 1 if n > 0 else 1
 
 
-def generate_separated_clusters(n: int, rng: np.random.Generator, width: float = 1.0):
-    """n points in ceil(sqrt(n)) uniform clusters with 10-width gaps, shuffled."""
+def generate_separated_clusters(n: int, rng: np.random.Generator):
+    """n points in ceil(sqrt(n)) uniform clusters of width 1, gaps of 10, shuffled."""
     k = _ceil_sqrt(n)
     base, rem = divmod(n, k)
     parts = []
     for j in range(k):
         size = base + (1 if j < rem else 0)
-        parts.append(11.0 * width * j + width * rng.random(size))
+        parts.append(11.0 * j + rng.random(size))
     return rng.permutation(np.concatenate(parts))
 
 
-def scaling_epsilon(n: int, width: float = 1.0) -> float:
+def scaling_epsilon(n: int) -> float:
     """Epsilon giving about log N expected neighbors per point here.
 
-    Each cluster holds m = n / k points uniform over width w, so a +-eps
-    window catches m * 2 eps / w of them on average; solving for log n
-    gives eps = w log(n) / (2 m).
+    Each cluster holds m = n / k points uniform over width 1, so a +-eps
+    window catches 2 m eps of them on average; solving for log n gives
+    eps = log(n) / (2 m).
     """
     m = n / _ceil_sqrt(n)
-    return width * math.log(n) / (2.0 * m)
+    return math.log(n) / (2.0 * m)
 
 
 def bench_scaling(sizes, trials: int = 3, seed: int = 0) -> BenchResult:
@@ -145,12 +144,10 @@ def bench_scaling(sizes, trials: int = 3, seed: int = 0) -> BenchResult:
                 len(clusters),
             )
         )
-    return BenchResult("scaling", rows)
+    return BenchResult(rows)
 
 
-def bench_epsilon_sweep(
-    n: int, epsilons, trials: int = 3, seed: int = 0, min_points: int = DEFAULT_MIN_POINTS
-) -> BenchResult:
+def bench_epsilon_sweep(n: int, epsilons, trials: int = 3, seed: int = 0) -> BenchResult:
     """Cluster-phase cost on one uniform dataset across epsilon values.
 
     The data is drawn and sorted once (that sort time is reported on
@@ -171,7 +168,7 @@ def bench_epsilon_sweep(
     sort_ns = time.perf_counter_ns() - t0
     rows = []
     for eps in epsilons:
-        params = DbscanParams(eps, min_points)
+        params = DbscanParams(eps, DEFAULT_MIN_POINTS)
         cluster_ns = 0
         counters = OpCounters()
         clusters: list = []
@@ -185,7 +182,7 @@ def bench_epsilon_sweep(
             BenchRow(
                 n,
                 eps,
-                min_points,
+                DEFAULT_MIN_POINTS,
                 sort_ns,
                 cluster_ns // trials,
                 counters.neighborhood_steps,
@@ -193,4 +190,4 @@ def bench_epsilon_sweep(
                 len(clusters),
             )
         )
-    return BenchResult("epsilon-sweep", rows)
+    return BenchResult(rows)

@@ -3,8 +3,9 @@
 Four subcommands: ``cluster`` runs 1D clustering on a point-list file,
 ``segment`` runs the two-stage scan pipeline, ``generate`` writes a
 synthetic room scan, ``bench`` emits experiment CSVs.  Data goes to the
-output file or stdout; diagnostics and timings go to stderr; exit code 0
-means the operation completed.
+output file or stdout, written through :mod:`scanseg.scan_io` (its
+block row writer for label columns); diagnostics and timings go to
+stderr; exit code 0 means the operation completed.
 """
 
 from __future__ import annotations
@@ -23,23 +24,17 @@ from .dbscan1d import (
     dbscan_1d,
     dbscan_1d_circular,
 )
-from .scan_io import NoiseModel, RoomModel, generate_scan, load_points, load_scan, save_scan
+from .scan_io import (
+    NoiseModel,
+    RoomModel,
+    _maybe_open,
+    _write_rows,
+    generate_scan,
+    load_points,
+    load_scan,
+    save_scan,
+)
 from .segmentation import SegmentationParams, angular_segmentation, fit_cluster_lines
-
-
-# rows formatted per write: one join per block keeps the per-row cost low
-# without building a whole output file in memory
-_WRITE_BLOCK = 8192
-
-
-def _out_stream(path):
-    return open(path, "w", encoding="ascii") if path else sys.stdout
-
-
-def _row_blocks(*columns):
-    """The columns' rows as Python lists, _WRITE_BLOCK rows at a time."""
-    for start in range(0, len(columns[0]), _WRITE_BLOCK):
-        yield [c[start : start + _WRITE_BLOCK].tolist() for c in columns]
 
 
 def _cmd_cluster(args) -> int:
@@ -57,15 +52,10 @@ def _cmd_cluster(args) -> int:
     t2 = time.perf_counter_ns()
     original_labels = np.empty_like(labels)
     original_labels[order] = labels
-    out = _out_stream(args.output)
-    try:
-        for vs, labs in _row_blocks(values, original_labels):
-            out.write("".join(f"{v!r}\t{lab}\n" for v, lab in zip(vs, labs)))
+    with _maybe_open(args.output or sys.stdout, "w") as out:
+        _write_rows(out, "%r\t%d\n", values, original_labels)
         for c in clusters:
             out.write(f"# cluster id={c.id} lower={c.lower} upper={c.upper} size={c.size}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(f"sort_ns={t1 - t0} cluster_ns={t2 - t1}", file=sys.stderr)
     return 0
 
@@ -81,13 +71,8 @@ def _cmd_segment(args) -> int:
     labels = np.full(scan.beams, -1, dtype=np.int64)
     for c in clusters:
         labels[c.point_indices] = c.id
-    out = _out_stream(args.output)
-    try:
-        for (labs,) in _row_blocks(labels):
-            out.write("".join(f"{lab}\n" for lab in labs))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _maybe_open(args.output, "w") as out:
+        _write_rows(out, "%d\n", labels)
     for c in clusters:
         if c.fitted_line is not None:
             d, theta = float(c.fitted_line.d), float(c.fitted_line.theta)
@@ -120,12 +105,7 @@ def _cmd_generate(args) -> int:
     room = _parse_room(args.room)
     noise = NoiseModel(args.noise_sigma, args.dropout, args.seed)
     scan, _ = generate_scan(room, args.beams, noise)
-    out = _out_stream(args.output)
-    try:
-        save_scan(scan, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    save_scan(scan, args.output or sys.stdout)
     return 0
 
 
@@ -136,12 +116,7 @@ def _cmd_bench(args) -> int:
     else:
         epsilons = [float(e) for e in args.epsilons.split(",")]
         result = bench_epsilon_sweep(args.n, epsilons, args.trials, args.seed)
-    out = _out_stream(args.output)
-    try:
-        write_csv(result, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    write_csv(result, args.output or sys.stdout)
     return 0
 
 

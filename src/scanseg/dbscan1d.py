@@ -9,10 +9,11 @@ O(N) after the sort.
 
 The work itself runs in the vectorized NumPy kernels of
 :mod:`scanseg._kernels`: O(N log N), far faster in practice, and
-bit-identical to that sweep in bounds, labels and cluster ranges.  A call
-that passes ``counters=`` runs the same code and adds to them the steps
-and touches the paper's sweep would make on the bounds and chains just
-computed.
+bit-identical to that sweep in bounds, labels and cluster ranges.  Each
+call makes the same kernel calls in turn, each returning its arrays:
+neighborhood bounds, chains of linked cores, then labels and cluster
+ranges.  A call that passes ``counters=`` adds to them the steps and
+touches the paper's sweep would make on those bounds and chains.
 
 Neighborhoods are closed: a point at distance exactly ``epsilon`` counts.
 A circular variant treats values as positions on a ring of a given period,
@@ -42,13 +43,6 @@ class BorderPolicy(enum.Enum):
     FIRST_CLUSTER = "first"
     ALL_CLUSTERS = "all"
     AS_NOISE = "noise"
-
-
-_POLICY_CODE = {
-    BorderPolicy.FIRST_CLUSTER: _k.POLICY_FIRST,
-    BorderPolicy.ALL_CLUSTERS: _k.POLICY_ALL,
-    BorderPolicy.AS_NOISE: _k.POLICY_AS_NOISE,
-}
 
 
 class UnsortedInputError(ValueError):
@@ -250,11 +244,7 @@ def calculate_neighborhood(values, epsilon: float) -> tuple[np.ndarray, np.ndarr
     exactly 2 * N.
     """
     x = _checked_values(values)
-    epsilon = _checked_epsilon(epsilon)
-    lower = np.empty(x.size, np.int64)
-    upper = np.empty(x.size, np.int64)
-    _k.linear_bounds(x, epsilon, lower, upper)
-    return lower, upper
+    return _k.linear_bounds(x, _checked_epsilon(epsilon))
 
 
 def calculate_neighborhood_circular(
@@ -270,10 +260,7 @@ def calculate_neighborhood_circular(
     x = _checked_values(values)
     epsilon = _checked_epsilon(epsilon)
     _checked_circular(x, epsilon, domain)
-    lower = np.empty(x.size, np.int64)
-    upper = np.empty(x.size, np.int64)
-    _k.circular_bounds(x, epsilon, domain.period, lower, upper)
-    return lower, upper
+    return _k.circular_bounds(x, epsilon, domain.period)
 
 
 def _run(
@@ -281,28 +268,18 @@ def _run(
     params: DbscanParams,
     domain: CircularDomain | None,
     counters: OpCounters | None,
-    out_labels: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ClusterSequence]:
-    n = x.size
-    labels = np.empty(n, np.int64) if out_labels is None else out_labels
-    lower = np.empty(n, np.int64)
-    upper = np.empty(n, np.int64)
     circular = domain is not None
     if circular:
-        _k.circular_bounds(x, params.epsilon, domain.period, lower, upper)
+        lower, upper = _k.circular_bounds(x, params.epsilon, domain.period)
     else:
-        _k.linear_bounds(x, params.epsilon, lower, upper)
-    policy = _POLICY_CODE[params.border_policy]
+        lower, upper = _k.linear_bounds(x, params.epsilon)
+    policy = params.border_policy.value
     chains = _k.core_chains(lower, upper, params.min_points)
-    lo, hi = _k.label_clusters(lower, upper, chains, params.min_points, policy, labels, circular)
+    labels, lo, hi = _k.label_clusters(lower, upper, chains, params.min_points, policy, circular)
     if counters is not None:
         counters.neighborhood_steps += _k.sweep_steps(lower, upper)
         counters.expand_touches += _k.sweep_touches(lower, upper, chains, policy, circular)
-    if circular and lo.size:
-        wrapped = lo < 0
-        if wrapped.any():
-            lo[wrapped] += n
-            hi[wrapped] += n
     return labels, ClusterSequence(lo, hi)
 
 
@@ -350,12 +327,13 @@ def recluster_subrange(
     """Linear clustering into a caller-owned label array, for tight loops.
 
     ``values`` must be sorted and is checked like ``dbscan_1d``'s; a sorted
-    float64 array is used without a copy.  ``out_labels`` (same length)
-    receives the labels.  Used by the scan segmentation stage that
+    float64 array is used without a copy.  The labels are copied into
+    ``out_labels`` (same length).  Used by the scan segmentation stage that
     reclusters each angular group by distance into one label buffer.
     """
     x = _checked_values(values)
     if out_labels.shape != x.shape or out_labels.dtype != np.int64:
         raise ValueError("out_labels must be an int64 array matching values")
-    _, clusters = _run(x, params, None, counters, out_labels=out_labels)
+    labels, clusters = _run(x, params, None, counters)
+    out_labels[:] = labels
     return clusters

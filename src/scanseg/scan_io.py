@@ -7,14 +7,18 @@ Two line-oriented text formats, both diff-able and full precision:
 * 1D point lists: one scalar per line, optionally preceded by a
   ``# circular period=<real>`` comment declaring a circular domain.
 
-Floats are written with repr, which round-trips every finite double
-exactly.  The generator ray-casts beams from a sensor pose inside a
-simple polygon and perturbs ranges with seeded multiplicative Gaussian
-noise; the RNG is the 64-bit counter-based Philox generator, so streams
-are reproducible bit for bit across platforms.  Beams are cast in
-fixed-size blocks, each broadcast against all walls, with directions
-taken from math.cos/math.sin one beam at a time; scans are bit-identical
-to those of the earlier one-beam-at-a-time cast.
+Both are ASCII: a line holding any other byte raises ScanFormatError
+naming that line.  Floats are written with repr, which round-trips every
+finite double exactly, by one block row writer that the scanseg command
+uses for its label columns too.
+
+The generator ray-casts beams from a sensor pose inside a simple polygon
+and perturbs ranges with seeded multiplicative Gaussian noise; the RNG
+is the 64-bit counter-based Philox generator, so streams are
+reproducible bit for bit across platforms.  Beams are cast in fixed-size
+blocks, each broadcast against all walls, with directions taken from
+math.cos/math.sin one beam at a time; scans are bit-identical to those
+of the earlier one-beam-at-a-time cast.
 """
 
 from __future__ import annotations
@@ -36,19 +40,44 @@ class ScanFormatError(ValueError):
 
 @contextmanager
 def _maybe_open(source, mode: str):
+    """A path opened as ASCII text, or an open file passed through.
+
+    A non-ASCII byte read from a path decodes to a lone surrogate, so the
+    parsers reject the line that holds it.
+    """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, mode, encoding="ascii") as f:
+        with open(source, mode, encoding="ascii", errors="surrogateescape") as f:
             yield f
     else:
         yield source
+
+
+# rows formatted per write: one join per block keeps the per-row cost low
+# without building a whole output file in memory
+_WRITE_BLOCK = 8192
+
+
+def _write_rows(f, line: str, *columns) -> None:
+    """Write ``line % row`` for each row of the equal-length columns.
+
+    A block is formatted by one ``%`` of the line repeated once per row
+    over the block's values, row by row.
+    """
+    width = len(columns)
+    for start in range(0, len(columns[0]), _WRITE_BLOCK):
+        block = [c[start : start + _WRITE_BLOCK].tolist() for c in columns]
+        rows = len(block[0])
+        values = [None] * (width * rows)
+        for i, column in enumerate(block):
+            values[i::width] = column
+        f.write(line * rows % tuple(values))
 
 
 def save_scan(scan: Scan, sink) -> None:
     """Write a scan in the text format; sink is a path or writable file."""
     with _maybe_open(sink, "w") as f:
         f.write(f"beams={scan.beams} full_circle={1 if scan.full_circle else 0}\n")
-        for a, r, v in zip(scan.beam_angles, scan.ranges, scan.valid):
-            f.write(f"{float(a)!r} {float(r)!r} {1 if v else 0}\n")
+        _write_rows(f, "%r %r %d\n", scan.beam_angles, scan.ranges, scan.valid)
 
 
 def _parse_header(line: str) -> tuple[int, bool]:
@@ -110,6 +139,8 @@ def load_points(source) -> tuple[np.ndarray, float | None]:
             if not line:
                 continue
             if line.startswith("#"):
+                if not line.isascii():
+                    raise ScanFormatError(f"line {lineno}: non-ASCII character in comment")
                 m = re.match(r"#\s*circular\s+period=(\S+)$", line)
                 if m:
                     try:

@@ -22,7 +22,7 @@ class TestDataGeneration:
     def test_cluster_layout(self):
         rng = np.random.default_rng(0)
         n = 1000
-        data = generate_separated_clusters(n, rng, width=1.0)
+        data = generate_separated_clusters(n, rng)
         assert data.size == n
         x = np.sort(data)
         gaps = np.diff(x)

@@ -1,5 +1,6 @@
 """Command line interface, driven in-process through main()."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -128,6 +129,66 @@ class TestCluster:
         assert "line 2" in capsys.readouterr().err
 
 
+# sha256 of the outputs of test_golden_bytes: a change to any of them is
+# a change of the output formats
+GOLDEN = {
+    "generate": "d5d9bb76c85dd5aa48679529be197a4eda211aca3963b2e7c8b96a390d993763",
+    "segment labels": "57ff75b57e7a0810499b8577eb8fa3344f65f9ae4c3444eaed450d1a390ca561",
+    "segment lines": "425bc3276aa587acd5a9591a80f3f9e68a39b61db516ad4b9cbfeb429945be05",
+    "cluster": "57a1eed0275be132e969922cd4d691929ecac385ebd2ca5443deee3c94d9c74c",
+}
+
+
+def test_golden_bytes(tmp_path, capsys):
+    """generate, then segment and a circular ALL_CLUSTERS cluster, byte for byte.
+
+    segment's stdout passes through numpy's sin, cos and arctan2, whose last
+    bit depends on the SIMD target, so its floats are pinned at ten
+    significant digits and checked to be written as repr; every other
+    output is pinned byte for byte.
+    """
+    room = "-4,-3;4,-3;4,3;1,3;1,5;-1,5;-1,2.5;-4,2.5"
+    scan_path = tmp_path / "scan.txt"
+    generate = ["generate", f"--room={room}", "--beams", "720", "--noise-sigma", "0.001",
+                "--dropout", "0.05", "--seed", "11"]
+    assert main(generate + ["--output", str(scan_path)]) == 0
+    assert main(generate) == 0
+    assert capsys.readouterr().out.encode() == scan_path.read_bytes()
+
+    labels_path = tmp_path / "labels.txt"
+    assert main(["segment", str(scan_path), "--eps-theta", "0.1", "--eps-dist", "0.05",
+                 "--min-points", "8", "--output", str(labels_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) >= 8
+    for row in rows:
+        assert all(repr(float(tok)) == tok for tok in row[2:])
+    lines = "\n".join(
+        " ".join(row[:2] + [f"{float(tok):.9e}" for tok in row[2:]]) for row in rows
+    )
+
+    # quantized bearings: duplicate runs, a group across the seam, noise
+    rng = np.random.Generator(np.random.Philox(5))
+    centers = np.array([0.0, 0.9, 1.7, 2.95, 4.1, 5.3])
+    groups = centers[:, None] + 0.02 * (2.0 * rng.random((6, 50)) - 1.0)
+    values = np.concatenate((groups.ravel(), 2.0 * np.pi * rng.random(60)))
+    values = np.floor(rng.permutation(values % (2.0 * np.pi)) / 1e-3) * 1e-3
+    points_path = write(
+        tmp_path / "bearings.txt",
+        f"# circular period={2.0 * np.pi!r}\n" + "".join(f"{v!r}\n" for v in values.tolist()),
+    )
+    assert main(["cluster", points_path, "--epsilon", "0.004", "--min-points", "4",
+                 "--border-policy", "all"]) == 0
+    cluster = capsys.readouterr().out
+
+    got = {
+        "generate": scan_path.read_bytes(),
+        "segment labels": labels_path.read_bytes(),
+        "segment lines": lines.encode(),
+        "cluster": cluster.encode(),
+    }
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == GOLDEN
+
+
 class TestSegment:
     def run_generate(self, tmp_path, **kw):
         scan_path = tmp_path / "scan.txt"
@@ -188,6 +249,14 @@ class TestSegment:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_ascii_byte_names_its_line(self, tmp_path, capsys):
+        scan_path = tmp_path / "scan.txt"
+        scan_path.write_bytes(b"beams=2 full_circle=0\n0.0 1.0 1\n0.1 1.\xff0 1\n")
+        argv = ["segment", str(scan_path), "--eps-theta", "0.1", "--eps-dist", "0.2",
+                "--min-points", "2", "--output", str(tmp_path / "x.txt")]
+        assert main(argv) == 2
+        assert "error: line 3:" in capsys.readouterr().err
 
     def test_single_wall_line_recovered(self, tmp_path, capsys):
         # a square seen with so few beams that only wall output matters is

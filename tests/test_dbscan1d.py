@@ -459,25 +459,33 @@ def assert_paths_agree(x, eps, period, mp):
     assert sweep_steps(got_lower, got_upper) == steps
 
 
+def assert_agrees_with_sweep_and_oracle(x, eps, period, mp):
+    """assert_paths_agree, and labels equal to the brute-force oracle's."""
+    assert_paths_agree(x, eps, period, mp)
+    for policy in POLICIES:
+        labels, _ = cluster_counted(x, eps, period, mp, policy)
+        want = naive_dbscan(x, eps, mp, period=period, border_policy=policy)
+        np.testing.assert_array_equal(labels, want)
+
+
 class TestCountedPathEquivalence:
     @settings(max_examples=300)
     @given(edge_instance(circular=False))
     def test_linear_edges(self, inst):
-        assert_paths_agree(*inst)
+        assert_agrees_with_sweep_and_oracle(*inst)
 
     @settings(max_examples=300)
     @given(edge_instance(circular=True))
     def test_circular_edges(self, inst):
-        assert_paths_agree(*inst)
+        assert_agrees_with_sweep_and_oracle(*inst)
 
     @given(sorted_values(max_size=80), st.floats(0.0, 4.0), st.integers(1, 5))
     def test_linear_random(self, x, eps, mp):
-        assert_paths_agree(x, eps, None, mp)
+        assert_agrees_with_sweep_and_oracle(x, eps, None, mp)
 
     @given(circular_instance())
     def test_circular_random(self, inst):
-        x, eps, period, mp = inst
-        assert_paths_agree(x, eps, period, mp)
+        assert_agrees_with_sweep_and_oracle(*inst)
 
     def test_seeded_fuzz(self):
         cases = 0

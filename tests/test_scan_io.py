@@ -132,6 +132,20 @@ class TestScanFile:
         with pytest.raises(ScanFormatError, match="line 3"):
             load_scan(io.StringIO(good + "0.1 nan 1\n"))
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"beams=1 full_circle=0\n0.0 1.0\xff 1\n", "line 2"),
+            (b"beams=2 full_circle=0\n0.0 1.0 1\n0.1 1.0 1\xff\n", "line 3"),
+            (b"beams=1\xff full_circle=0\n0.0 1.0 1\n", "line 1"),
+        ],
+    )
+    def test_non_ascii_byte_reports_its_line(self, tmp_path, data, line):
+        path = tmp_path / "scan.txt"
+        path.write_bytes(data)
+        with pytest.raises(ScanFormatError, match=line):
+            load_scan(path)
+
     def test_record_count_mismatch(self):
         with pytest.raises(ScanFormatError, match="declares 2"):
             load_scan(io.StringIO("beams=2 full_circle=0\n0.0 1.0 1\n"))
@@ -168,6 +182,21 @@ class TestPointsFile:
             load_points(io.StringIO("1.0\nzap\n"))
         with pytest.raises(ScanFormatError):
             load_points(io.StringIO("inf\n"))
+
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"1.0\n2.\xe9\n", "line 2"),
+            (b"# caf\xe9\n1.0\n", "line 1"),
+            (b"1.0\n# circular period=6.28\xe9\n", "line 2"),
+        ],
+    )
+    def test_non_ascii_byte_reports_its_line(self, tmp_path, data, line):
+        path = tmp_path / "pts.txt"
+        path.write_bytes(data)
+        with pytest.raises(ScanFormatError, match=line):
+            load_points(path)
 
 
 class TestRoomModel:
