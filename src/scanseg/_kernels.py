@@ -12,6 +12,11 @@ The paper's operation counts follow from the same bounds and chains:
 expansion touches that sweep would make on them.  They describe the
 paper's algorithm; the work done here is what wall-clock time measures.
 
+The linear bounds also serve many independent groups in one pass, each
+sorted on its own (stage 2 of the scan segmentation): searches then run
+on (group, value) keys, so no bound leaves its group, and the values and
+the float predicate stay exactly those of one call per group.
+
 Every function returns its arrays and leaves its inputs unchanged.  The
 border policy comes as its :class:`scanseg.dbscan1d.BorderPolicy` value
 ("first", "all" or "noise").  Label conventions shared with
@@ -41,28 +46,31 @@ def _blocks(n):
     return ((a, min(a + VEC_BLOCK, n)) for a in range(0, n, VEC_BLOCK))
 
 
-def _last_fit(x, idx, fits):
-    """Move candidates ``idx`` (in place) to the last index whose value fits.
+def _last_fit(s, idx, fits):
+    """Move candidates ``idx`` (in place) to the last index that fits.
 
-    ``fits(values, k)`` evaluates the predicate for entries ``k`` of idx
-    (an index array or a full slice); it must hold on a prefix of x and fail
-    after it.  -1 means that no index fits.  The predicate sees values only,
-    so each correction step passes a whole run of equal values.
+    ``fits(j, k)`` evaluates the predicate at indices j for entries k of idx
+    (an index array or a full slice); it must hold on a prefix of the
+    candidate's group and fail after it.  -1 means that no index fits.
+    ``s`` holds the search keys of the values (see :func:`linear_bounds`),
+    equal exactly where both group and value are.  The predicate depends
+    on the value only, so each correction step passes a whole run of equal
+    keys: long runs of equal values cost one step, not one per index.
     """
-    n = x.shape[0]
-    k = np.flatnonzero((idx >= 0) & ~fits(x[np.maximum(idx, 0)], slice(None)))
+    n = s.shape[0]
+    k = np.flatnonzero((idx >= 0) & ~fits(np.maximum(idx, 0), slice(None)))
     while k.size:
-        idx[k] = np.searchsorted(x, x[idx[k]], "left") - 1
+        idx[k] = np.searchsorted(s, s[idx[k]], "left") - 1
         k = k[idx[k] >= 0]
-        k = k[~fits(x[idx[k]], k)]
-    k = np.flatnonzero((idx < n - 1) & fits(x[np.minimum(idx + 1, n - 1)], slice(None)))
+        k = k[~fits(idx[k], k)]
+    k = np.flatnonzero((idx < n - 1) & fits(np.minimum(idx + 1, n - 1), slice(None)))
     while k.size:
-        idx[k] = np.searchsorted(x, x[idx[k] + 1], "right") - 1
+        idx[k] = np.searchsorted(s, s[idx[k] + 1], "right") - 1
         k = k[idx[k] < n - 1]
-        k = k[fits(x[idx[k] + 1], k)]
+        k = k[fits(idx[k] + 1, k)]
 
 
-def _block_bounds(x, eps, a, b, lower, upper):
+def _block_bounds(x, s, eps, a, b, lower, upper, top):
     """Linear bounds of points a..b-1, exactly as the sweep's.
 
     Needs upper[:a] filled.  The upper bounds come from a search corrected
@@ -71,13 +79,27 @@ def _block_bounds(x, eps, a, b, lower, upper):
     number of points whose upper bound lies below i.
     """
     xi = x[a:b]
-    key = xi + eps
+    if s is x:
+        key = xi + eps
+
+        def fits(j, k):
+            return x[j] - xi[k] <= eps
+
+    else:
+        # x + eps searched within the point's group, and a neighbor must
+        # not pass the group's last index
+        key = s[a:b] + 1j * eps
+        last = top[a:b]
+
+        def fits(j, k):
+            return (x[j] - xi[k] <= eps) & (j <= last[k])
+
     # the guesses of the block lie between those of its end points, so
     # searching that window alone gives the same answers, faster
-    end = int(np.searchsorted(x, key[-1], "right"))
-    up = np.searchsorted(x[a:end], key, "right")
+    end = int(np.searchsorted(s, key[-1], "right"))
+    up = np.searchsorted(s[a:end], key, "right")
     up += a - 1
-    _last_fit(x, up, lambda v, k: v - xi[k] <= eps)
+    _last_fit(s, up, fits)
     upper[a:b] = up
     start, stop = (int(j) for j in np.searchsorted(upper[:b], (a, b), "left"))
     counts = np.zeros(b - a, np.int64)
@@ -88,17 +110,29 @@ def _block_bounds(x, eps, a, b, lower, upper):
     lower[a + 1 : b] += start
 
 
-def linear_bounds(x, eps):
+def linear_bounds(x, eps, group=None):
     """Per-point neighborhood bounds ``(lower, upper)`` of sorted values.
 
     upper[i] is the largest j with x[j] - x[i] <= eps, lower[i] the smallest
-    j with x[i] - x[j] <= eps.
+    j with x[i] - x[j] <= eps.  ``group``, a non-decreasing integer id per
+    point, splits x into groups that are each sorted and clustered on their
+    own: neighbors are sought within the point's group only, so no bound
+    leaves it and upper stays non-decreasing across the groups.  Without
+    it, x is one group.
     """
     n = x.shape[0]
+    s, top = x, None
+    if group is not None:
+        # complex numbers order by real part first, so (group, value)
+        # keys sort the whole array while the values stay exact
+        s = np.empty(n, np.complex128)
+        s.real = group
+        s.imag = x
+        top = np.searchsorted(group, group, "right") - 1
     lower = np.empty(n, np.int64)
     upper = np.empty(n, np.int64)
     for a, b in _blocks(n):
-        _block_bounds(x, eps, a, b, lower, upper)
+        _block_bounds(x, s, eps, a, b, lower, upper, top)
     return lower, upper
 
 
@@ -124,7 +158,7 @@ def circular_bounds(x, eps, period):
             xt = xi[t]
             j = np.searchsorted(x, (xt + eps) - period, "right")
             j -= 1
-            _last_fit(x, j, lambda v, k: period - (xt[k] - v) <= eps)
+            _last_fit(x, j, lambda i, k: period - (xt[k] - x[i]) <= eps)
             up[t] += j + 1
         h = np.flatnonzero(lo == 0)
         if h.size:
@@ -133,7 +167,7 @@ def circular_bounds(x, eps, period):
             # above it are neighbors
             j = np.searchsorted(x, (xh - eps) + period, "left")
             j -= 1
-            _last_fit(x, j, lambda v, k: period - (v - xh[k]) > eps)
+            _last_fit(x, j, lambda i, k: period - (x[i] - xh[k]) > eps)
             lo[h] = j + 1 - n
     return lower, upper
 
@@ -301,12 +335,13 @@ def sweep_touches(lower, upper, chains, policy, circular):
 
 
 def warmup():
-    """Run the bounds and the labels once on a tiny input, linear and
-    circular, so that a benchmark's first timed call pays no one-time
-    costs."""
+    """Run the bounds and the labels once on a tiny input, linear (one
+    group and two) and circular, so that a benchmark's first timed call
+    pays no one-time costs."""
     x = np.array([0.0, 0.05, 0.2, 5.0])
     for circular, (lower, upper) in (
         (False, linear_bounds(x, 0.1)),
+        (False, linear_bounds(x, 0.1, np.array([0, 0, 1, 1]))),
         (True, circular_bounds(x, 0.1, 2.0 * np.pi)),
     ):
         label_clusters(lower, upper, core_chains(lower, upper, 2), 2, "first", circular)

@@ -203,15 +203,20 @@ class ClusterSequence(Sequence):
         return f"ClusterSequence(<{len(self)} clusters>)"
 
 
-def _checked_values(values) -> np.ndarray:
+def _checked_values(values, group=None) -> np.ndarray:
     x = np.ascontiguousarray(values, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"values must be one-dimensional, got shape {x.shape}")
-    # sorted values with finite ends are finite throughout, and a NaN fails
-    # the comparison, so valid input costs one pass
-    if x.size and not (
-        math.isfinite(x[0]) and math.isfinite(x[-1]) and (x[1:] >= x[:-1]).all()
-    ):
+    if group is None:
+        # sorted values with finite ends are finite throughout, and a NaN
+        # fails the comparison, so valid input costs one pass
+        ok = not x.size or (
+            math.isfinite(x[0]) and math.isfinite(x[-1]) and (x[1:] >= x[:-1]).all()
+        )
+    else:
+        # sorted within each group: a group may start below the last end
+        ok = np.isfinite(x).all() and ((x[1:] >= x[:-1]) | (group[1:] != group[:-1])).all()
+    if not ok:
         if not np.isfinite(x).all():
             raise ValueError("values must be finite")
         raise UnsortedInputError("values must be sorted in ascending order")
@@ -268,12 +273,13 @@ def _run(
     params: DbscanParams,
     domain: CircularDomain | None,
     counters: OpCounters | None,
+    group: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ClusterSequence]:
     circular = domain is not None
     if circular:
         lower, upper = _k.circular_bounds(x, params.epsilon, domain.period)
     else:
-        lower, upper = _k.linear_bounds(x, params.epsilon)
+        lower, upper = _k.linear_bounds(x, params.epsilon, group)
     policy = params.border_policy.value
     chains = _k.core_chains(lower, upper, params.min_points)
     labels, lo, hi = _k.label_clusters(lower, upper, chains, params.min_points, policy, circular)
@@ -317,23 +323,19 @@ def dbscan_1d_circular(
     return _run(x, params, domain, counters)
 
 
-def recluster_subrange(
-    values: np.ndarray,
+def _dbscan_1d_groups(
+    values,
+    group: np.ndarray,
     params: DbscanParams,
     *,
     counters: OpCounters | None = None,
-    out_labels: np.ndarray,
-) -> ClusterSequence:
-    """Linear clustering into a caller-owned label array, for tight loops.
+) -> tuple[np.ndarray, ClusterSequence]:
+    """Cluster each group of values on its own, all groups in one pass.
 
-    ``values`` must be sorted and is checked like ``dbscan_1d``'s; a sorted
-    float64 array is used without a copy.  The labels are copied into
-    ``out_labels`` (same length).  Used by the scan segmentation stage that
-    reclusters each angular group by distance into one label buffer.
+    ``group`` is a non-decreasing integer id per value, and values must be
+    sorted within each group.  Labels, clusters and counters are those of
+    one ``dbscan_1d`` call per group in turn, with cluster ids and indices
+    running on across the groups: no cluster range leaves its group.
     """
-    x = _checked_values(values)
-    if out_labels.shape != x.shape or out_labels.dtype != np.int64:
-        raise ValueError("out_labels must be an int64 array matching values")
-    labels, clusters = _run(x, params, None, counters)
-    out_labels[:] = labels
-    return clusters
+    x = _checked_values(values, group)
+    return _run(x, params, None, counters, group)

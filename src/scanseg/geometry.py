@@ -186,9 +186,13 @@ def _principal_directions(sxx, syy, sxy) -> np.ndarray:
 
 def _neighbors(mask: np.ndarray, wrap: bool) -> tuple[np.ndarray, np.ndarray]:
     """The mask at each index's previous and next index (False off the ends)."""
-    if wrap:
-        return np.roll(mask, 1), np.roll(mask, -1)
-    return np.concatenate(([False], mask[:-1])), np.concatenate((mask[1:], [False]))
+    prev = np.empty_like(mask)
+    nxt = np.empty_like(mask)
+    prev[1:] = mask[:-1]
+    nxt[:-1] = mask[1:]
+    prev[0] = mask[-1] if wrap else False
+    nxt[-1] = mask[0] if wrap else False
+    return prev, nxt
 
 
 def estimate_local_angles(x, y, valid, full_circle: bool = False) -> np.ndarray:

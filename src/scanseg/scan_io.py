@@ -87,10 +87,25 @@ def _parse_header(line: str) -> tuple[int, bool]:
     return int(m.group(1)), m.group(2) == "1"
 
 
+# line breaks of str.splitlines() other than "\n" and "\r"; str.split()
+# takes them for whitespace, so a record holding one is rejected by name
+_STRAY_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def load_scan(source) -> Scan:
-    """Read a scan file; raises ScanFormatError with the offending line."""
+    """Read a scan file; raises ScanFormatError with the offending line.
+
+    Lines end at "\n", "\r\n" or "\r", as a file opened by path reads.
+    """
     with _maybe_open(source, "r") as f:
-        lines = f.read().splitlines()
+        text = f.read()
+    if "\r" in text:  # only a file object passed in can still hold one
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    stray = any(c in text for c in _STRAY_BREAKS)
+    lines = text.split("\n")
+    del text  # not kept alive next to its lines while the records parse
+    if lines[-1] == "":  # a final newline ends the last line
+        lines.pop()
     if not lines:
         raise ScanFormatError("line 1: missing header")
     beams, full_circle = _parse_header(lines[0])
@@ -105,7 +120,7 @@ def load_scan(source) -> Scan:
     for i, rec in enumerate(records):
         lineno = i + 2
         parts = rec.split()
-        if len(parts) != 3:
+        if len(parts) != 3 or stray and any(c in rec for c in _STRAY_BREAKS):
             raise ScanFormatError(f"line {lineno}: expected 'angle range valid', got {rec!r}")
         try:
             a = float(parts[0])

@@ -7,9 +7,10 @@ each angular cluster, projects its members onto the mean-direction
 normal, and reclusters by that signed distance, which separates parallel
 features that agree in angle but lie on different lines.
 
-Points that survive neither stage are noise.  Stage 2 writes the labels
-of every angular cluster into one buffer sized by the per-scan point
-count, which is known up front.
+Points that survive neither stage are noise.  Stage 2 runs as one
+clustering pass per scan: the distances of all angular clusters go into
+one array, each cluster's run sorted on its own, and the clustering
+kernel keeps every neighborhood inside its run.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .dbscan1d import (
     DbscanParams,
     OpCounters,
     _check_min_points,
+    _dbscan_1d_groups,
     dbscan_1d_circular,
-    recluster_subrange,
 )
 from .geometry import (
     DegenerateFitError,
@@ -132,11 +133,10 @@ def angular_segmentation(
     )
 
     # stage 2: within each angular cluster, recluster by signed distance
-    # to the through-origin line at the mean direction
-    stage2 = DbscanParams(params.epsilon_dist, params.min_points, params.border_policy)
-    labels2 = np.empty(m, np.int64)
+    # to the through-origin line at the mean direction; all clusters in one
+    # pass, each sorted by (distance, original index) in its own run
     all_policy = params.border_policy is BorderPolicy.ALL_CLUSTERS
-    out: list[FeatureCluster] = []
+    means, members, dists = [], [], []
     for ac in angular_clusters:
         pos = _member_positions(labels1, ac, m, all_policy)
         try:
@@ -147,30 +147,42 @@ def angular_segmentation(
             fallback = True
         normal = wrap_angle(mean_theta + 0.5 * math.pi)
         member_orig = perm[pos]
-        dist = signed_distance_to_origin_line(
-            scan.x[member_orig], scan.y[member_orig], normal
+        means.append((mean_theta, fallback))
+        members.append(member_orig)
+        dists.append(
+            signed_distance_to_origin_line(scan.x[member_orig], scan.y[member_orig], normal)
         )
-        suborder = np.lexsort((member_orig, dist))
-        dist_sorted = np.ascontiguousarray(dist[suborder])
-        sub_orig = member_orig[suborder]
-        sub_labels = labels2[: pos.size]
-        subclusters = recluster_subrange(
-            dist_sorted, stage2, counters=counters, out_labels=sub_labels
-        )
-        for sc in subclusters:
-            spos = _member_positions(sub_labels, sc, dist_sorted.size, all_policy)
-            # a border-stealing earlier cluster can push a late cluster
-            # below the floor; such remnants count as noise
-            if spos.size < params.min_points:
-                continue
-            out.append(
-                FeatureCluster(
-                    id=len(out) + 1,
-                    point_indices=np.sort(sub_orig[spos]),
-                    mean_theta=mean_theta,
-                    mean_theta_fallback=fallback,
-                )
+    if not members:
+        return []
+    group = np.repeat(np.arange(len(members)), [p.size for p in members])
+    member_orig = np.concatenate(members)
+    dist = np.concatenate(dists)
+    # on a large scan these hold megabytes that the one pass below would
+    # otherwise add to its own
+    del theta, orig, perm, theta_sorted, labels1, members, dists
+    # group is the first sort key and already ascending, so it keeps its order
+    order = np.lexsort((member_orig, dist, group))
+    sub_orig = member_orig[order]
+    dist = dist[order]
+    del member_orig, order
+    stage2 = DbscanParams(params.epsilon_dist, params.min_points, params.border_policy)
+    labels2, subclusters = _dbscan_1d_groups(dist, group, stage2, counters=counters)
+    out: list[FeatureCluster] = []
+    for sc in subclusters:
+        spos = _member_positions(labels2, sc, sub_orig.size, all_policy)
+        # a border-stealing earlier cluster can push a late cluster
+        # below the floor; such remnants count as noise
+        if spos.size < params.min_points:
+            continue
+        mean_theta, fallback = means[group[sc.lower]]
+        out.append(
+            FeatureCluster(
+                id=len(out) + 1,
+                point_indices=np.sort(sub_orig[spos]),
+                mean_theta=mean_theta,
+                mean_theta_fallback=fallback,
             )
+        )
     return out
 
 
@@ -181,7 +193,9 @@ def fit_cluster_lines(scan: Scan, clusters: list[FeatureCluster]) -> list[Featur
     retained, no line) when the member geometry is degenerate.
     """
     for c in clusters:
-        pts = np.column_stack((scan.x[c.point_indices], scan.y[c.point_indices]))
+        pts = np.empty((c.size, 2))
+        pts[:, 0] = scan.x[c.point_indices]
+        pts[:, 1] = scan.y[c.point_indices]
         try:
             c.fitted_line = tls_fit(pts)
         except (DegenerateFitError, OrientationUndefinedError, InsufficientDataError) as e:

@@ -19,9 +19,9 @@ from scanseg import (
     calculate_neighborhood_circular,
     dbscan_1d,
     dbscan_1d_circular,
-    recluster_subrange,
 )
-from scanseg._kernels import VEC_BLOCK, sweep_steps
+from scanseg._kernels import VEC_BLOCK, linear_bounds, sweep_steps
+from scanseg.dbscan1d import _dbscan_1d_groups
 from scanseg.bench import generate_separated_clusters, scaling_epsilon
 from scanseg.oracle import density_reachable_closure, naive_dbscan, naive_neighborhood
 from sweep_reference import run_sweep
@@ -534,16 +534,99 @@ class TestCountedPathEquivalence:
         assert peak <= 3 * 8 * n + n + 2 * 2**20
 
 
+@st.composite
+def grouped_instance(draw):
+    """Groups of lattice values, each sorted on its own, for the stage-2 pass.
+
+    Values lie on a lattice, so duplicates are common and so are gaps of
+    exactly epsilon (binary steps) or gaps that rounding puts on either
+    side of it (decimal steps).  A group may start at or below the value
+    its predecessor ended on, and groups may be smaller than min_points or
+    hold a single value.
+    """
+    if draw(st.booleans()):
+        eps = draw(st.sampled_from([0.0, 0.125, 0.5, 1.0]))
+        step = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0]))
+        base = draw(st.sampled_from([0.0, 1.0, -3.0, 1e6]))
+    else:
+        eps = draw(st.sampled_from([0.1, 0.3, 0.7]))
+        step = draw(st.sampled_from([0.1, 0.3, 0.7]))
+        base = draw(st.sampled_from([0.1, 0.7, -2.9, 1e3 + 0.1]))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    groups = [
+        np.sort(base + step * np.array(draw(st.lists(st.integers(0, 8), min_size=k, max_size=k))))
+        for k in sizes
+    ]
+    ids = np.cumsum(draw(st.lists(st.integers(1, 2), min_size=len(sizes), max_size=len(sizes))))
+    mp = draw(st.integers(1, 5))
+    return groups, ids, eps, mp
+
+
+def assert_groups_match_per_group_runs(groups, ids, eps, mp, policy):
+    """One grouped pass equals dbscan_1d on each group in turn: labels with
+    ids counted on, ranges shifted by the group start, summed counters."""
+    params = DbscanParams(eps, mp, policy)
+    values = np.concatenate(groups)
+    group = np.repeat(ids, [g.size for g in groups])
+    counters = OpCounters()
+    labels, clusters = _dbscan_1d_groups(values, group, params, counters=counters)
+    want_labels, want_ranges = [], []
+    want = OpCounters()
+    start = 0
+    for g in groups:
+        part_labels, part = dbscan_1d(g, params, counters=want)
+        found = len(want_ranges)
+        want_labels.append(np.where(part_labels == NOISE, NOISE, part_labels + found))
+        want_ranges += [(c.id + found, c.lower + start, c.upper + start) for c in part]
+        start += g.size
+    np.testing.assert_array_equal(labels, np.concatenate(want_labels))
+    assert [tuple(c) for c in clusters] == want_ranges
+    assert counters == want
+    # no bound leaves its group, and the one-group bounds are unchanged
+    lower, upper = linear_bounds(values, eps, group)
+    assert (group[lower] == group).all() and (group[upper] == group).all()
+    start = 0
+    for g in groups:
+        one_lower, one_upper = calculate_neighborhood(g, eps)
+        np.testing.assert_array_equal(lower[start : start + g.size], one_lower + start)
+        np.testing.assert_array_equal(upper[start : start + g.size], one_upper + start)
+        start += g.size
+
+
 class TestRecluster:
+    """The stage-2 pass: every group clustered on its own, in one run."""
+
+    @settings(max_examples=300)
+    @given(grouped_instance(), st.sampled_from(POLICIES))
+    def test_groups_match_per_group_runs(self, case, policy):
+        assert_groups_match_per_group_runs(*case, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_group_boundary_cases(self, policy):
+        cases = [
+            # equal values on both sides of a boundary, and gaps of exactly eps
+            ([np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.5, 2.0])], [0, 1], 0.5, 2),
+            # a group ending above where the next one starts
+            ([np.array([2.0, 2.0, 2.0]), np.array([0.0, 0.0, 2.0, 2.0])], [0, 1], 0.0, 2),
+            # groups smaller than min_points between dense ones
+            ([np.full(4, 3.0), np.array([3.0]), np.array([3.0, 3.0]), np.full(5, 3.0)],
+             [0, 1, 2, 3], 1.0, 3),
+            # one group, and a long run of duplicates across a block
+            ([np.repeat([0.0, 1.0], [VEC_BLOCK + 3, 4])], [0], 0.5, 4),
+            ([np.repeat([0.0, 0.5], [5, VEC_BLOCK]), np.repeat([0.0, 0.5], [VEC_BLOCK, 3])],
+             [0, 1], 0.5, 4),
+        ]
+        for groups, ids, eps, mp in cases:
+            assert_groups_match_per_group_runs(groups, np.array(ids), eps, mp, policy)
+
     def test_matches_fresh_run(self):
         rng = np.random.default_rng(9)
         params = DbscanParams(0.15, 3)
         for _ in range(50):
             x = np.sort(rng.random(int(rng.integers(1, 80))))
-            out = np.empty(x.size, np.int64)
-            clusters = recluster_subrange(x, params, out_labels=out)
+            labels, clusters = _dbscan_1d_groups(x, np.zeros(x.size, np.int64), params)
             fresh_labels, fresh_clusters = dbscan_1d(x, params)
-            np.testing.assert_array_equal(out, fresh_labels)
+            np.testing.assert_array_equal(labels, fresh_labels)
             assert list(clusters) == list(fresh_clusters)
 
     def test_larger_epsilon_never_splits_dense_slice(self):
@@ -570,33 +653,29 @@ class TestRecluster:
             checked += 1
 
     def test_slice_below_min_points_is_noise(self):
-        x = np.array([1.0, 1.01])
-        out = np.empty(2, np.int64)
-        clusters = recluster_subrange(x, DbscanParams(0.5, 3), out_labels=out)
-        assert out.tolist() == [-1, -1]
+        x = np.array([1.0, 1.01, 1.0, 1.01])
+        labels, clusters = _dbscan_1d_groups(x, np.array([0, 0, 1, 1]), DbscanParams(0.5, 3))
+        assert labels.tolist() == [-1, -1, -1, -1]
         assert len(clusters) == 0
 
     def test_values_checked_like_dbscan_1d(self):
         params = DbscanParams(0.5, 2)
 
-        def run(values):
-            values = np.asarray(values, dtype=np.float64)
-            out = np.empty(values.shape, np.int64)
-            return recluster_subrange(values, params, out_labels=out)
+        def run(values, group=(0, 0, 0)):
+            return _dbscan_1d_groups(values, np.array(group), params)
 
         with pytest.raises(UnsortedInputError):
             run([3.0, 1.0, 2.0])
-        with pytest.raises(ValueError, match="finite"):
-            run([1.0, np.nan, 2.0])
+        with pytest.raises(UnsortedInputError):
+            run([1.0, 3.0, 2.0], (0, 1, 1))
+        for bad in ([1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [np.nan, 1.0, 2.0]):
+            with pytest.raises(ValueError, match="finite"):
+                run(bad, (0, 0, 1))
         with pytest.raises(ValueError, match="one-dimensional"):
             run([[1.0, 2.0], [3.0, 4.0]])
-
-    def test_out_labels_must_match(self):
-        x = np.array([1.0, 2.0])
-        with pytest.raises(ValueError):
-            recluster_subrange(x, DbscanParams(0.5, 2), out_labels=np.empty(3, np.int64))
-        with pytest.raises(ValueError):
-            recluster_subrange(x, DbscanParams(0.5, 2), out_labels=np.empty(2, np.int32))
+        # a new group may start below the last one's end
+        labels, _ = run([3.0, 1.0, 1.2], (0, 1, 1))
+        assert labels.tolist() == [-1, 1, 1]
 
 
 class TestParams:

@@ -146,6 +146,25 @@ class TestScanFile:
         with pytest.raises(ScanFormatError, match=line):
             load_scan(path)
 
+    @pytest.mark.parametrize("brk", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_stray_line_break_reports_its_line(self, brk):
+        # str.splitlines() broke such a record in two, so the error was a
+        # record count mismatch with no line number
+        with pytest.raises(ScanFormatError, match="^line 2: expected 'angle range valid'"):
+            load_scan(io.StringIO(f"beams=1 full_circle=0\n0.0{brk}1.0 1\n"))
+        text = f"beams=3 full_circle=0\n0.0 1.0 1\n0.1 1.0 1\n0.2{brk}1.0 1\n"
+        with pytest.raises(ScanFormatError, match="^line 4: "):
+            load_scan(io.StringIO(text))
+        # an earlier bad record is still the one reported
+        with pytest.raises(ScanFormatError, match="^line 2: bad number"):
+            load_scan(io.StringIO(text.replace("0.0 1.0", "0.0 x")))
+
+    def test_stray_line_break_in_a_file(self, tmp_path):
+        path = tmp_path / "scan.txt"
+        path.write_bytes(b"beams=1 full_circle=0\n0.0\x0c1.0 1\n")
+        with pytest.raises(ScanFormatError, match="^line 2: "):
+            load_scan(path)
+
     def test_record_count_mismatch(self):
         with pytest.raises(ScanFormatError, match="declares 2"):
             load_scan(io.StringIO("beams=2 full_circle=0\n0.0 1.0 1\n"))

@@ -1,15 +1,28 @@
 """Two-stage scan segmentation: angle clustering then distance splitting."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scanseg import (
+    BorderPolicy,
+    CircularDomain,
+    DbscanParams,
     FeatureCluster,
     InsufficientDataError,
+    NoiseModel,
     OpCounters,
+    RoomModel,
     Scan,
     SegmentationParams,
+    UndefinedMeanError,
     angular_segmentation,
+    circular_mean,
+    dbscan_1d,
+    dbscan_1d_circular,
+    estimate_local_angles,
     fit_cluster_lines,
     generate_scan,
     signed_distance_to_origin_line,
@@ -257,3 +270,239 @@ class TestLineFitting:
         fit_cluster_lines(scan, [cluster])
         assert cluster.fitted_line is None
         assert "point" in cluster.fit_error
+
+
+# -- the per-cluster stage 2 as reference ---------------------------------
+#
+# angular_segmentation used to run stage 2 as one clustering call per
+# angular cluster.  That loop is kept here, with dbscan_1d in place of the
+# per-call entry point it used, as the reference for the one-pass stage 2.
+
+
+def _member_positions(labels, cluster, n, all_policy):
+    if all_policy:
+        return np.unique(cluster.indices(n))
+    return np.flatnonzero(labels == cluster.id)
+
+
+def reference_angular_segmentation(scan, params, *, counters=None):
+    valid_count = int(scan.valid.sum())
+    if valid_count < params.min_points:
+        raise InsufficientDataError(
+            f"need at least {params.min_points} valid points, scan has {valid_count}"
+        )
+    theta = estimate_local_angles(scan.x, scan.y, scan.valid, scan.full_circle)
+    orig = np.flatnonzero(scan.valid & np.isfinite(theta)).astype(np.int64)
+    m = orig.size
+    if m < params.min_points:
+        return []
+
+    order = np.argsort(theta[orig], kind="stable")
+    perm = orig[order]
+    theta_sorted = np.ascontiguousarray(theta[perm])
+    stage1 = DbscanParams(params.epsilon_theta, params.min_points, params.border_policy)
+    labels1, angular_clusters = dbscan_1d_circular(
+        theta_sorted, stage1, CircularDomain(math.pi), counters=counters
+    )
+
+    stage2 = DbscanParams(params.epsilon_dist, params.min_points, params.border_policy)
+    all_policy = params.border_policy is BorderPolicy.ALL_CLUSTERS
+    out = []
+    for ac in angular_clusters:
+        pos = _member_positions(labels1, ac, m, all_policy)
+        try:
+            mean_theta = circular_mean(theta_sorted[pos], math.pi)
+            fallback = False
+        except UndefinedMeanError:
+            mean_theta = float(theta_sorted[pos[pos.size // 2]])
+            fallback = True
+        normal = wrap_angle(mean_theta + 0.5 * math.pi)
+        member_orig = perm[pos]
+        dist = signed_distance_to_origin_line(
+            scan.x[member_orig], scan.y[member_orig], normal
+        )
+        suborder = np.lexsort((member_orig, dist))
+        dist_sorted = np.ascontiguousarray(dist[suborder])
+        sub_orig = member_orig[suborder]
+        sub_labels, subclusters = dbscan_1d(dist_sorted, stage2, counters=counters)
+        for sc in subclusters:
+            spos = _member_positions(sub_labels, sc, dist_sorted.size, all_policy)
+            if spos.size < params.min_points:
+                continue
+            out.append(
+                FeatureCluster(
+                    id=len(out) + 1,
+                    point_indices=np.sort(sub_orig[spos]),
+                    mean_theta=mean_theta,
+                    mean_theta_fallback=fallback,
+                )
+            )
+    return out
+
+
+def exact_scan(x, y, valid):
+    """A scan whose cartesian returns are exactly x and y (from_xy would
+    round them through polar form)."""
+    scan = Scan.from_xy(x, y, valid, full_circle=False)
+    scan.x = np.asarray(x, dtype=np.float64)
+    scan.y = np.asarray(y, dtype=np.float64)
+    return scan
+
+
+# distance radius of the segment scans: a power of two, so lattice offsets
+# one step apart are exactly epsilon_dist apart
+SEGMENT_EPS = 0.125
+
+
+@st.composite
+def segment_scans(draw):
+    """Runs of beams along short segments, one dropped beam between runs.
+
+    Horizontal runs have direction exactly 0 and vertical ones exactly
+    pi / 2, and their coordinates are binary fractions small enough that
+    the stage-2 distances come out as the lattice offsets themselves:
+    duplicates, gaps of exactly SEGMENT_EPS, and equal values at the end of
+    the horizontal group and the start of the vertical one.  Runs at other
+    directions ("fan") and three-point runs make angular clusters that
+    border stealing can leave below min_points.
+    """
+    step = draw(st.sampled_from([SEGMENT_EPS / 2, SEGMENT_EPS, 2 * SEGMENT_EPS]))
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["h", "v", "fan"]), st.integers(0, 7), st.integers(3, 7)
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    xs, ys, valid = [], [], []
+    for kind, k, size in runs:
+        offset = 1.0 + step * k
+        start = draw(st.integers(-12, 4)) / 16.0
+        along = start + np.arange(size) / 16.0
+        if kind == "h":
+            x, y = along, np.full(size, offset)
+        elif kind == "v":
+            x, y = np.full(size, -offset), along
+        else:
+            a = 0.3 + 0.05 * draw(st.integers(0, 4))
+            x = offset * math.cos(a) + along * math.sin(a)
+            y = offset * math.sin(a) - along * math.cos(a)
+        xs += [*x, 0.0]
+        ys += [*y, 0.0]
+        valid += [True] * size + [False]
+    return exact_scan(xs, ys, valid)
+
+
+@st.composite
+def room_scans(draw):
+    """Noisy square-room scans, partly dropped, with random parameters."""
+    heading = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+    room = RoomModel(
+        np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]]), (0.1, -0.2, heading)
+    )
+    noise = NoiseModel(draw(st.sampled_from([0.0, 0.01, 0.05])), 0.05, draw(st.integers(0, 2**32)))
+    return generate_scan(room, draw(st.sampled_from([36, 120, 360])), noise)[0]
+
+
+def assert_same_as_reference(scan, params):
+    counters = OpCounters()
+    want_counters = OpCounters()
+    try:
+        want = reference_angular_segmentation(scan, params, counters=want_counters)
+    except InsufficientDataError:
+        with pytest.raises(InsufficientDataError):
+            angular_segmentation(scan, params, counters=counters)
+        return
+    got = angular_segmentation(scan, params, counters=counters)
+    assert [(c.id, c.point_indices.tolist(), c.mean_theta, c.mean_theta_fallback) for c in got] == [
+        (c.id, c.point_indices.tolist(), c.mean_theta, c.mean_theta_fallback) for c in want
+    ]
+    assert counters == want_counters
+
+
+class TestStage2MatchesReference:
+    @settings(max_examples=200)
+    @given(
+        segment_scans(),
+        st.sampled_from(list(BorderPolicy)),
+        st.sampled_from([0.04, 0.1, 0.3]),
+        st.sampled_from([1, 2, 3, 4, 6, 9]),
+    )
+    def test_segment_scans(self, scan, policy, eps_theta, min_points):
+        params = SegmentationParams(eps_theta, SEGMENT_EPS, min_points, policy)
+        assert_same_as_reference(scan, params)
+
+    @settings(max_examples=60)
+    @given(
+        room_scans(),
+        st.sampled_from(list(BorderPolicy)),
+        st.sampled_from([0.05, 0.1, 0.3]),
+        st.sampled_from([0.02, 0.2, 1.0]),
+        st.sampled_from([2, 4, 16]),
+    )
+    def test_room_scans(self, scan, policy, eps_theta, eps_dist, min_points):
+        assert_same_as_reference(scan, SegmentationParams(eps_theta, eps_dist, min_points, policy))
+
+    @pytest.mark.parametrize("policy", list(BorderPolicy))
+    def test_named_cases(self, policy):
+        """Each case the one-pass stage 2 must get right, built explicitly,
+        with a check that its distances really show the case."""
+        def runs(*specs):
+            xs, ys, valid = [], [], []
+            for kind, offset, along in specs:
+                along = np.asarray(along, dtype=np.float64)
+                if kind == "h":
+                    x, y = along, np.full(along.size, offset)
+                else:
+                    x, y = np.full(along.size, -offset), along
+                xs += [*x, 0.0]
+                ys += [*y, 0.0]
+                valid += [True] * along.size + [False]
+            return exact_scan(xs, ys, valid)
+
+        line = np.arange(4) / 16.0
+        # duplicate offsets and gaps of exactly epsilon_dist in one group;
+        # the horizontal group ends on the value the vertical group starts on
+        boundary = runs(
+            ("h", 1.0, line), ("h", 1.0, line + 0.5), ("h", 1.125, line), ("h", 1.25, line),
+            ("v", 1.25, line), ("v", 1.375, line), ("v", 1.625, line),
+        )
+        # a single angular cluster on a lattice of offsets
+        single = runs(*(("h", 1.0 + 0.125 * k, line) for k in (0, 1, 1, 2, 4, 5)))
+        for scan, min_points in ((boundary, 4), (boundary, 8), (single, 4), (single, 9)):
+            assert_same_as_reference(scan, SegmentationParams(0.1, SEGMENT_EPS, min_points, policy))
+        h, v = boundary.valid.copy(), boundary.valid.copy()
+        h[boundary.x < 0] = v[boundary.x >= 0] = False
+        horizontal = np.sort(signed_distance_to_origin_line(boundary.x[h], boundary.y[h], 0.5 * math.pi))
+        vertical = np.sort(signed_distance_to_origin_line(boundary.x[v], boundary.y[v], math.pi))
+        assert horizontal[-1] == vertical[0] == 1.25
+        assert set(np.diff(horizontal)) == {0.0, SEGMENT_EPS}
+        theta = estimate_local_angles(single.x, single.y, single.valid)
+        _, stage1 = dbscan_1d_circular(
+            np.sort(theta[single.valid]), DbscanParams(0.1, 4, policy), CircularDomain(math.pi)
+        )
+        assert len(stage1) == 1
+
+    def test_group_below_min_points(self):
+        """Under AS_NOISE an angular cluster can hold fewer than min_points
+        points: three runs at directions 0.05 apart, where only the middle
+        run's points are cores."""
+        xs, ys, valid = [], [], []
+        for a in (0.3, 0.35, 0.4):
+            t = np.arange(3) / 16.0
+            xs += [*(1.5 * math.cos(a) + t * math.sin(a)), 0.0]
+            ys += [*(1.5 * math.sin(a) - t * math.cos(a)), 0.0]
+            valid += [True] * 3 + [False]
+        scan = exact_scan(xs, ys, valid)
+        for policy in BorderPolicy:
+            params = SegmentationParams(0.06, SEGMENT_EPS, 7, policy)
+            assert_same_as_reference(scan, params)
+        theta = estimate_local_angles(scan.x, scan.y, scan.valid)
+        _, stage1 = dbscan_1d_circular(
+            np.sort(theta[scan.valid]),
+            DbscanParams(0.06, 7, BorderPolicy.AS_NOISE),
+            CircularDomain(math.pi),
+        )
+        assert [c.size for c in stage1] == [3]
