@@ -16,13 +16,12 @@ from scanseg.bench import bench_epsilon_sweep, bench_scaling, write_csv
 
 def main():
     sizes = [50_000, 100_000, 200_000, 400_000]
-    result = bench_scaling(sizes, trials=3, seed=0)
+    rows = bench_scaling(sizes, trials=3, seed=0)
 
     buf = io.StringIO()
-    write_csv(result, buf)
+    write_csv(rows, buf)
     print(buf.getvalue().rstrip())
 
-    rows = result.rows
     print("\nper doubling of N:")
     for prev, cur in zip(rows, rows[1:]):
         print(f"  {prev.n:>7} -> {cur.n:>7}: "
@@ -36,7 +35,7 @@ def main():
     n = 200_000
     sweep = bench_epsilon_sweep(n, [1e-6, 1e-5, 1e-4, 1e-3], trials=3, seed=1)
     print(f"\nepsilon sweep at N={n}:")
-    for r in sweep.rows:
+    for r in sweep:
         print(f"  eps={r.epsilon:8.1e}: {r.cluster_count:6d} clusters, "
               f"steps={r.neighborhood_steps}, "
               f"cluster time {r.cluster_time_ns / 1e6:.2f} ms")

@@ -53,16 +53,11 @@ class BenchRow:
     cluster_count: int
 
 
-@dataclass(frozen=True)
-class BenchResult:
-    rows: list[BenchRow]
-
-
-def write_csv(result: BenchResult, sink) -> None:
+def write_csv(rows: list[BenchRow], sink) -> None:
     """Write rows in the fixed CSV_COLUMNS order; sink is a path or file."""
     with _maybe_open(sink, "w") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
-        for r in result.rows:
+        for r in rows:
             f.write(
                 f"{r.n},{float(r.epsilon)!r},{r.min_points},{r.sort_time_ns},"
                 f"{r.cluster_time_ns},{r.neighborhood_steps},{r.expand_touches},"
@@ -78,11 +73,8 @@ def generate_separated_clusters(n: int, rng: np.random.Generator):
     """n points in ceil(sqrt(n)) uniform clusters of width 1, gaps of 10, shuffled."""
     k = _ceil_sqrt(n)
     base, rem = divmod(n, k)
-    parts = []
-    for j in range(k):
-        size = base + (1 if j < rem else 0)
-        parts.append(11.0 * j + rng.random(size))
-    return rng.permutation(np.concatenate(parts))
+    sizes = np.where(np.arange(k) < rem, base + 1, base)
+    return rng.permutation(np.repeat(11.0 * np.arange(k), sizes) + rng.random(n))
 
 
 def scaling_epsilon(n: int) -> float:
@@ -96,13 +88,52 @@ def scaling_epsilon(n: int) -> float:
     return math.log(n) / (2.0 * m)
 
 
-def bench_scaling(sizes, trials: int = 3, seed: int = 0) -> BenchResult:
+def _timed_rows(data, epsilons, sort_trials: int, trials: int) -> list[BenchRow]:
+    """One row per epsilon on a sorted copy of ``data``.
+
+    The sort time is the mean over ``sort_trials`` sorts of fresh copies
+    and is shared by every row; each epsilon then gets ``trials`` timed,
+    counted cluster runs, whose mean time and per-run counters it reports.
+    """
+    sort_ns = 0
+    for _ in range(sort_trials):
+        work = data.copy()
+        t0 = time.perf_counter_ns()
+        work.sort()
+        sort_ns += time.perf_counter_ns() - t0
+    rows = []
+    for eps in epsilons:
+        params = DbscanParams(eps, DEFAULT_MIN_POINTS)
+        counters = OpCounters()
+        cluster_ns = 0
+        for _ in range(trials):
+            counters.reset()
+            t0 = time.perf_counter_ns()
+            _, clusters = dbscan_1d(work, params, counters=counters)
+            cluster_ns += time.perf_counter_ns() - t0
+        rows.append(
+            BenchRow(
+                data.size,
+                eps,
+                DEFAULT_MIN_POINTS,
+                sort_ns // sort_trials,
+                cluster_ns // trials,
+                counters.neighborhood_steps,
+                counters.expand_touches,
+                len(clusters),
+            )
+        )
+    return rows
+
+
+def bench_scaling(sizes, trials: int = 3, seed: int = 0) -> list[BenchRow]:
     """Time sort and cluster phases separately across ascending sizes.
 
-    One row per size with phase means over ``trials`` runs; counters are
-    per-run values and deterministic under the seed.  The epsilon for
-    each size comes from scaling_epsilon, keeping neighborhoods near
-    log N so density grows mildly instead of staying fixed per point.
+    Returns one row per size with phase means over ``trials`` sorts and
+    ``trials`` cluster runs; counters are per-run values and deterministic
+    under the seed.  The epsilon for each size comes from scaling_epsilon,
+    keeping neighborhoods near log N so density grows mildly instead of
+    staying fixed per point.
     """
     sizes = [int(s) for s in sizes]
     if sizes != sorted(sizes) or not sizes:
@@ -116,42 +147,16 @@ def bench_scaling(sizes, trials: int = 3, seed: int = 0) -> BenchResult:
     rows = []
     for n in sizes:
         data = generate_separated_clusters(n, rng)
-        eps = scaling_epsilon(n)
-        params = DbscanParams(eps, DEFAULT_MIN_POINTS)
-        sort_ns = 0
-        cluster_ns = 0
-        counters = OpCounters()
-        clusters: list = []
-        for _ in range(trials):
-            counters.reset()
-            work = data.copy()
-            t0 = time.perf_counter_ns()
-            work.sort()
-            t1 = time.perf_counter_ns()
-            _, clusters = dbscan_1d(work, params, counters=counters)
-            t2 = time.perf_counter_ns()
-            sort_ns += t1 - t0
-            cluster_ns += t2 - t1
-        rows.append(
-            BenchRow(
-                n,
-                eps,
-                DEFAULT_MIN_POINTS,
-                sort_ns // trials,
-                cluster_ns // trials,
-                counters.neighborhood_steps,
-                counters.expand_touches,
-                len(clusters),
-            )
-        )
-    return BenchResult(rows)
+        rows += _timed_rows(data, [scaling_epsilon(n)], trials, trials)
+    return rows
 
 
-def bench_epsilon_sweep(n: int, epsilons, trials: int = 3, seed: int = 0) -> BenchResult:
+def bench_epsilon_sweep(n: int, epsilons, trials: int = 3, seed: int = 0) -> list[BenchRow]:
     """Cluster-phase cost on one uniform dataset across epsilon values.
 
-    The data is drawn and sorted once (that sort time is reported on
-    every row); each epsilon then gets ``trials`` timed cluster runs.
+    Returns one row per epsilon.  The data is drawn and sorted once (that
+    sort time is reported on every row); each epsilon then gets
+    ``trials`` timed cluster runs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -162,32 +167,4 @@ def bench_epsilon_sweep(n: int, epsilons, trials: int = 3, seed: int = 0) -> Ben
         raise ValueError("need at least one epsilon")
     _kernels.warmup()
     rng = np.random.Generator(np.random.Philox(seed))
-    data = rng.random(n)
-    t0 = time.perf_counter_ns()
-    data.sort()
-    sort_ns = time.perf_counter_ns() - t0
-    rows = []
-    for eps in epsilons:
-        params = DbscanParams(eps, DEFAULT_MIN_POINTS)
-        cluster_ns = 0
-        counters = OpCounters()
-        clusters: list = []
-        for _ in range(trials):
-            counters.reset()
-            t1 = time.perf_counter_ns()
-            _, clusters = dbscan_1d(data, params, counters=counters)
-            t2 = time.perf_counter_ns()
-            cluster_ns += t2 - t1
-        rows.append(
-            BenchRow(
-                n,
-                eps,
-                DEFAULT_MIN_POINTS,
-                sort_ns,
-                cluster_ns // trials,
-                counters.neighborhood_steps,
-                counters.expand_touches,
-                len(clusters),
-            )
-        )
-    return BenchResult(rows)
+    return _timed_rows(rng.random(n), epsilons, 1, trials)

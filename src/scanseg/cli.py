@@ -112,11 +112,11 @@ def _cmd_generate(args) -> int:
 def _cmd_bench(args) -> int:
     if args.experiment == "scaling":
         sizes = [int(s) for s in args.sizes.split(",")]
-        result = bench_scaling(sizes, args.trials, args.seed)
+        rows = bench_scaling(sizes, args.trials, args.seed)
     else:
         epsilons = [float(e) for e in args.epsilons.split(",")]
-        result = bench_epsilon_sweep(args.n, epsilons, args.trials, args.seed)
-    write_csv(result, args.output or sys.stdout)
+        rows = bench_epsilon_sweep(args.n, epsilons, args.trials, args.seed)
+    write_csv(rows, args.output or sys.stdout)
     return 0
 
 

@@ -206,7 +206,9 @@ def estimate_local_angles(x, y, valid, full_circle: bool = False) -> np.ndarray:
     ``full_circle`` the index space wraps, so runs join across the seam
     and a fully valid scan forms a closed ring with no endpoints at all.
     The windows are gathered in blocks of _ANGLE_BLOCK interior points,
-    so the temporaries stay bounded however long the scan is.
+    so the temporaries stay bounded however long the scan is.  Raises
+    ValueError when a window's sums or squared spreads overflow float64
+    (coordinates of about 6e307 in size or 1e154 apart).
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -228,14 +230,24 @@ def estimate_local_angles(x, y, valid, full_circle: bool = False) -> np.ndarray:
         i2[i2 == n] = 0
         x0, x1, x2 = x[i0], x[i1], x[i2]
         y0, y1, y2 = y[i0], y[i1], y[i2]
-        cx = (x0 + x1 + x2) / 3.0
-        cy = (y0 + y1 + y2) / 3.0
-        d0x, d1x, d2x = x0 - cx, x1 - cx, x2 - cx
-        d0y, d1y, d2y = y0 - cy, y1 - cy, y2 - cy
-        sxx = d0x * d0x + d1x * d1x + d2x * d2x
-        syy = d0y * d0y + d1y * d1y + d2y * d2y
-        sxy = d0x * d0y + d1x * d1y + d2x * d2y
-        out[i1] = _principal_directions(sxx, syy, sxy)
+        # any overflow leaves the window's spread non-finite and its
+        # direction NaN, indistinguishable from a degenerate window
+        try:
+            with np.errstate(over="raise"):
+                cx = (x0 + x1 + x2) / 3.0
+                cy = (y0 + y1 + y2) / 3.0
+                d0x, d1x, d2x = x0 - cx, x1 - cx, x2 - cx
+                d0y, d1y, d2y = y0 - cy, y1 - cy, y2 - cy
+                sxx = d0x * d0x + d1x * d1x + d2x * d2x
+                syy = d0y * d0y + d1y * d1y + d2y * d2y
+                sxy = d0x * d0y + d1x * d1y + d2x * d2y
+                ang = _principal_directions(sxx, syy, sxy)
+        except FloatingPointError:
+            raise ValueError(
+                "local angle windows overflow float64: "
+                "scan coordinates too large or too far apart"
+            ) from None
+        out[i1] = ang
     # run endpoints are the non-interior points next to an interior one;
     # a point with interior neighbors on both sides is interior itself
     prev_in, next_in = _neighbors(interior, full_circle)

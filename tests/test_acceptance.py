@@ -142,8 +142,8 @@ def test_criterion_3_epsilon_independence(warmed):
     """
     eps = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
     result = bench_epsilon_sweep(1_000_000, eps, trials=3, seed=1)
-    totals = [r.neighborhood_steps + r.expand_touches for r in result.rows]
-    times = [r.cluster_time_ns for r in result.rows]
+    totals = [r.neighborhood_steps + r.expand_touches for r in result]
+    times = [r.cluster_time_ns for r in result]
     counter_ratio = max(totals) / min(totals)
     time_ratio = max(times) / min(times)
     print(
@@ -188,7 +188,7 @@ def test_criterion_4_scaling(warmed):
     """
     sizes = [10_000, 20_000, 100_000, 200_000, 1_000_000]
     result = bench_scaling(sizes, trials=3, seed=0)
-    rows = {r.n: r for r in result.rows}
+    rows = {r.n: r for r in result}
     times = sweep_scaling_times(sizes, trials=3, seed=0)
     xs, ys = [], []
     for n in (10_000, 100_000, 1_000_000):

@@ -55,8 +55,8 @@ class TestDataGeneration:
 class TestScalingBench:
     def test_rows_and_counters(self, warmed):
         result = bench_scaling([1000, 2000, 4000], trials=2, seed=0)
-        assert [r.n for r in result.rows] == [1000, 2000, 4000]
-        for row in result.rows:
+        assert [r.n for r in result] == [1000, 2000, 4000]
+        for row in result:
             assert row.neighborhood_steps == 2 * row.n
             assert 0 < row.expand_touches <= 2 * row.n
             assert row.cluster_count > 0
@@ -64,7 +64,7 @@ class TestScalingBench:
 
     def test_counter_doubling(self, warmed):
         result = bench_scaling([2000, 4000], trials=1, seed=3)
-        a, b = result.rows
+        a, b = result
         ratio = (b.neighborhood_steps + b.expand_touches) / (
             a.neighborhood_steps + a.expand_touches
         )
@@ -73,7 +73,7 @@ class TestScalingBench:
     def test_single_trial_deterministic(self, warmed):
         one = bench_scaling([1000, 2000], trials=1, seed=9)
         two = bench_scaling([1000, 2000], trials=1, seed=9)
-        for x, y in zip(one.rows, two.rows):
+        for x, y in zip(one, two):
             assert x.neighborhood_steps == y.neighborhood_steps
             assert x.expand_touches == y.expand_touches
             assert x.cluster_count == y.cluster_count
@@ -90,19 +90,56 @@ class TestEpsilonSweep:
         result = bench_epsilon_sweep(
             20_000, [1e-7, 1e-6, 1e-5, 1e-4, 1e-3], trials=2, seed=1
         )
-        totals = [r.neighborhood_steps + r.expand_touches for r in result.rows]
+        totals = [r.neighborhood_steps + r.expand_touches for r in result]
         assert max(totals) <= 2 * min(totals)
         # one dataset, one sort: every row reports the same sort cost
-        assert len({r.sort_time_ns for r in result.rows}) == 1
-        assert [r.epsilon for r in result.rows] == [1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
+        assert len({r.sort_time_ns for r in result}) == 1
+        assert [r.epsilon for r in result] == [1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
 
     def test_vanishing_epsilon_all_noise(self, warmed):
         result = bench_epsilon_sweep(5000, [1e-15], trials=1, seed=2)
-        assert result.rows[0].cluster_count == 0
+        assert result[0].cluster_count == 0
 
     def test_epsilons_required(self):
         with pytest.raises(ValueError):
             bench_epsilon_sweep(1000, [])
+
+
+class TestGoldenCounts:
+    """Count columns of fixed runs, so that a change to the timing loop or
+    to the data recipe that moves any of them shows; times are noise."""
+
+    @staticmethod
+    def counts(rows):
+        return [
+            (r.n, r.epsilon, r.min_points, r.neighborhood_steps, r.expand_touches,
+             r.cluster_count)
+            for r in rows
+        ]
+
+    def test_scaling(self, warmed):
+        rows = bench_scaling([1, 2, 3, 1000, 10_000, 100_000], trials=1, seed=0)
+        assert self.counts(rows) == [
+            (1, 0.0, 4, 2, 0, 0),
+            (2, 0.34657359027997264, 4, 4, 0, 0),
+            (3, 0.3662040962227033, 4, 6, 0, 0),
+            (1000, 0.11052408446371419, 4, 2000, 937, 56),
+            (10000, 0.04605170185988092, 4, 20000, 9789, 182),
+            (100000, 0.018247986861977813, 4, 200000, 99379, 618),
+        ]
+
+    def test_epsilon_sweep(self, warmed):
+        rows = bench_epsilon_sweep(
+            200_000, [1e-7, 1e-6, 1e-5, 1e-4, 1e-3], trials=1, seed=1
+        )
+        assert self.counts(rows) == [
+            (200000, 1e-07, 4, 400000, 6, 2),
+            (200000, 1e-06, 4, 400000, 2346, 733),
+            (200000, 1e-05, 4, 400000, 158686, 18717),
+            (200000, 0.0001, 4, 400000, 199999, 1),
+            (200000, 0.001, 4, 400000, 199999, 1),
+        ]
+        assert len({r.sort_time_ns for r in rows}) == 1
 
 
 class TestCsv:
@@ -129,7 +166,7 @@ class TestCsv:
         assert set(row) == set(CSV_COLUMNS)
         assert int(row["N"]) == 1000
         assert int(row["neighborhoodSteps"]) == 2000
-        assert float(row["epsilon"]) == result.rows[0].epsilon
+        assert float(row["epsilon"]) == result[0].epsilon
 
     def test_file_object_target(self, warmed):
         result = bench_epsilon_sweep(1000, [0.5], trials=1, seed=0)

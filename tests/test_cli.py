@@ -250,6 +250,19 @@ class TestSegment:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record",
+        ["{k:.3f} 1.6e308 1\n", "0.0 {k}e200 1\n"],
+        ids=["huge-coordinates", "huge-spacing"],
+    )
+    def test_overflowing_scan_fails(self, tmp_path, capsys, record):
+        body = "".join(record.format(k=k) for k in range(40))
+        scan_path = write(tmp_path / "huge.txt", "beams=40 full_circle=0\n" + body)
+        argv = ["segment", str(scan_path), "--eps-theta", "0.1", "--eps-dist", "0.2",
+                "--min-points", "4", "--output", str(tmp_path / "x.txt")]
+        assert main(argv) == 2
+        assert "error: local angle windows overflow float64" in capsys.readouterr().err
+
     def test_non_ascii_byte_names_its_line(self, tmp_path, capsys):
         scan_path = tmp_path / "scan.txt"
         scan_path.write_bytes(b"beams=2 full_circle=0\n0.0 1.0 1\n0.1 1.\xff0 1\n")

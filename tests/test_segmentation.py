@@ -159,6 +159,19 @@ class TestDegenerateInputs:
         scan = Scan.from_xy(x + 1, y + 1, valid, full_circle=False)
         assert angular_segmentation(scan, SegmentationParams(0.1, 0.2, 2)) == []
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (np.full(40, 1.6e308), np.arange(40.0)),  # window sums overflow
+            (1e200 * np.arange(40.0), 1e200 * np.arange(40.0)),  # spreads overflow
+        ],
+        ids=["huge-coordinates", "huge-spacing"],
+    )
+    def test_overflowing_windows_rejected(self, x, y):
+        scan = Scan.from_xy(x, y)
+        with pytest.raises(ValueError, match="overflow float64"):
+            angular_segmentation(scan, SegmentationParams(0.1, 0.2, 4))
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             SegmentationParams(0.0, 0.2, 4)
