@@ -1,11 +1,13 @@
 """Vectorized kernels behind the sorted 1D clustering core.
 
 Neighborhood bounds come from ``np.searchsorted``, corrected to the exact
-float predicate of the paper's pointer sweep, so they run in O(N log N)
-after the sort, in fixed-size blocks that keep scratch memory small.
-Labels and cluster ranges then follow from chains of linked cores.  Both
-are bit-identical to the paper's counted O(N) sweep, which the tests keep
-as the reference.
+float predicate of the paper's pointer sweep.  They run in blocks of
+``VEC_BLOCK`` points that keep scratch memory small, each searching a
+window of the block plus one neighborhood, so after the sort they cost
+O(N log VEC_BLOCK) while neighborhoods stay under a block, and O(N log N)
+only when one neighborhood spans the array.  Labels and cluster ranges
+then follow from chains of linked cores.  Both are bit-identical to the
+paper's counted O(N) sweep, which the tests keep as the reference.
 
 The paper's operation counts follow from the same bounds and chains:
 :func:`sweep_steps` and :func:`sweep_touches` give the pointer steps and
@@ -46,7 +48,7 @@ def _blocks(n):
     return ((a, min(a + VEC_BLOCK, n)) for a in range(0, n, VEC_BLOCK))
 
 
-def _last_fit(s, idx, fits):
+def _last_fit(s, idx, fits, linear=False):
     """Move candidates ``idx`` (in place) to the last index that fits.
 
     ``fits(j, k)`` evaluates the predicate at indices j for entries k of idx
@@ -56,27 +58,31 @@ def _last_fit(s, idx, fits):
     equal exactly where both group and value are.  The predicate depends
     on the value only, so each correction step passes a whole run of equal
     keys: long runs of equal values cost one step, not one per index.
+    ``linear`` says that every candidate lies at or above an index that
+    fits, as a linear bound does above its own point, so none is -1.
     """
     n = s.shape[0]
-    k = np.flatnonzero((idx >= 0) & ~fits(np.maximum(idx, 0), slice(None)))
+    fail = ~fits(idx, slice(None))
+    if not linear:
+        # at -1 the predicate reads the last value; drop those
+        fail &= idx >= 0
+    k = fail.nonzero()[0]
     while k.size:
-        idx[k] = np.searchsorted(s, s[idx[k]], "left") - 1
+        idx[k] = s.searchsorted(s[idx[k]], "left") - 1
         k = k[idx[k] >= 0]
         k = k[~fits(idx[k], k)]
-    k = np.flatnonzero((idx < n - 1) & fits(np.minimum(idx + 1, n - 1), slice(None)))
+    k = ((idx < n - 1) & fits(np.minimum(idx + 1, n - 1), slice(None))).nonzero()[0]
     while k.size:
-        idx[k] = np.searchsorted(s, s[idx[k] + 1], "right") - 1
+        idx[k] = s.searchsorted(s[idx[k] + 1], "right") - 1
         k = k[idx[k] < n - 1]
         k = k[fits(idx[k] + 1, k)]
 
 
-def _block_bounds(x, s, eps, a, b, lower, upper, top):
-    """Linear bounds of points a..b-1, exactly as the sweep's.
+def _block_upper(x, s, eps, a, b, top):
+    """Upper bounds of points a..b-1, exactly as the sweep's.
 
-    Needs upper[:a] filled.  The upper bounds come from a search corrected
-    to the sweep's predicate.  Points j <= i are neighbors exactly when
-    upper[j] >= i, the same float test, so lower[i] is then a count: the
-    number of points whose upper bound lies below i.
+    A search, corrected to the sweep's predicate.  No bound lies below its
+    own point: x + eps is never below x.
     """
     xi = x[a:b]
     if s is x:
@@ -94,20 +100,17 @@ def _block_bounds(x, s, eps, a, b, lower, upper, top):
         def fits(j, k):
             return (x[j] - xi[k] <= eps) & (j <= last[k])
 
-    # the guesses of the block lie between those of its end points, so
-    # searching that window alone gives the same answers, faster
-    end = int(np.searchsorted(s, key[-1], "right"))
-    up = np.searchsorted(s[a:end], key, "right")
-    up += a - 1
-    _last_fit(s, up, fits)
-    upper[a:b] = up
-    start, stop = (int(j) for j in np.searchsorted(upper[:b], (a, b), "left"))
-    counts = np.zeros(b - a, np.int64)
-    for c in range(start, stop, VEC_BLOCK):
-        counts += np.bincount(upper[c : min(c + VEC_BLOCK, stop)] - a, minlength=b - a)
-    lower[a] = start
-    np.cumsum(counts[:-1], out=lower[a + 1 : b])
-    lower[a + 1 : b] += start
+    if b - a == s.shape[0]:
+        up = s.searchsorted(key, "right")
+        up -= 1
+    else:
+        # the guesses of the block lie between those of its end points, so
+        # searching that window alone gives the same answers, faster
+        end = int(s.searchsorted(key[-1], "right"))
+        up = s[a:end].searchsorted(key, "right")
+        up += a - 1
+    _last_fit(s, up, fits, linear=True)
+    return up
 
 
 def linear_bounds(x, eps, group=None):
@@ -119,6 +122,10 @@ def linear_bounds(x, eps, group=None):
     own: neighbors are sought within the point's group only, so no bound
     leaves it and upper stays non-decreasing across the groups.  Without
     it, x is one group.
+
+    Points j <= i are neighbors exactly when upper[j] >= i, the same float
+    test, so lower[i] is a count: the number of points whose upper bound
+    lies below i.
     """
     n = x.shape[0]
     s, top = x, None
@@ -129,10 +136,25 @@ def linear_bounds(x, eps, group=None):
         s.real = group
         s.imag = x
         top = np.searchsorted(group, group, "right") - 1
+    if n <= VEC_BLOCK:
+        # one block: the upper bounds all lie in [0, n), so lower is a
+        # running count of them
+        upper = _block_upper(x, s, eps, 0, n, top)
+        lower = np.zeros(n, np.int64)
+        np.cumsum(np.bincount(upper, minlength=n)[:-1], out=lower[1:])
+        return lower, upper
     lower = np.empty(n, np.int64)
     upper = np.empty(n, np.int64)
     for a, b in _blocks(n):
-        _block_bounds(x, s, eps, a, b, lower, upper, top)
+        upper[a:b] = _block_upper(x, s, eps, a, b, top)
+        # points start..stop-1 have their upper bound inside the block
+        start, stop = (int(j) for j in upper[:b].searchsorted((a, b), "left"))
+        counts = np.zeros(b - a, np.int64)
+        for c in range(start, stop, VEC_BLOCK):
+            counts += np.bincount(upper[c : min(c + VEC_BLOCK, stop)] - a, minlength=b - a)
+        lower[a] = start
+        np.cumsum(counts[:-1], out=lower[a + 1 : b])
+        lower[a + 1 : b] += start
     return lower, upper
 
 
@@ -151,24 +173,27 @@ def circular_bounds(x, eps, period):
     """
     n = x.shape[0]
     lower, upper = linear_bounds(x, eps)
-    for a, b in _blocks(n):
-        xi, lo, up = x[a:b], lower[a:b], upper[a:b]
-        t = np.flatnonzero(up == n - 1)
-        if t.size:
-            xt = xi[t]
-            j = np.searchsorted(x, (xt + eps) - period, "right")
-            j -= 1
-            _last_fit(x, j, lambda i, k: period - (xt[k] - x[i]) <= eps)
-            up[t] += j + 1
-        h = np.flatnonzero(lo == 0)
-        if h.size:
-            xh = xi[h]
-            # the last value still out of reach across the seam; all values
-            # above it are neighbors
-            j = np.searchsorted(x, (xh - eps) + period, "left")
-            j -= 1
-            _last_fit(x, j, lambda i, k: period - (x[i] - xh[k]) > eps)
-            lo[h] = j + 1 - n
+    # linear bounds never decrease, so the points whose upper bound reaches
+    # the array end form a tail, and those whose lower bound is 0 a head
+    tail = int(upper.searchsorted(n - 1, "left"))
+    for a in range(tail, n, VEC_BLOCK):
+        xt = x[a : a + VEC_BLOCK]
+        j = x.searchsorted((xt + eps) - period, "right")
+        j -= 1
+        _last_fit(x, j, lambda i, k: period - (xt[k] - x[i]) <= eps)
+        j += 1
+        upper[a : a + VEC_BLOCK] += j
+    head = int(lower.searchsorted(0, "right"))
+    for a in range(0, head, VEC_BLOCK):
+        b = min(a + VEC_BLOCK, head)
+        xh = x[a:b]
+        # the last value still out of reach across the seam; all values
+        # above it are neighbors
+        j = x.searchsorted((xh - eps) + period, "left")
+        j -= 1
+        _last_fit(x, j, lambda i, k: period - (x[i] - xh[k]) > eps)
+        j += 1 - n
+        lower[a:b] = j
     return lower, upper
 
 
@@ -178,6 +203,18 @@ def core_chains(lower, upper, min_points):
     Cores c < c' that are consecutive among the cores belong to one chain
     exactly when c' <= upper[c]; chains come back in index order.
     """
+    if upper.shape[0] <= VEC_BLOCK:
+        core = (upper - lower >= min_points - 1).nonzero()[0]
+        if not core.size:
+            return core, core, 0
+        starts = np.empty(core.size, np.bool_)
+        starts[0] = True
+        np.greater(core[1:], upper[core[:-1]], out=starts[1:])
+        # a chain ends where the next one starts
+        ends = np.empty_like(starts)
+        ends[:-1] = starts[1:]
+        ends[-1] = True
+        return core[starts], core[ends], core.size
     firsts, lasts = [], []
     cores = 0
     prev_core, prev_reach = -1, -1
@@ -207,24 +244,24 @@ def core_chains(lower, upper, min_points):
 def _fill(n, start, end, ids):
     """Labels: ids over the closed segments [start, end], NOISE elsewhere.
 
-    Segments are unwrapped (start may be negative, end may pass n - 1) and
-    must be disjoint modulo n.  Works by adding steps and one cumsum.
+    Segments are unwrapped, sorted by start and disjoint modulo n: only
+    the first may start below 0 and only the last may end past n - 1,
+    never both.  Works by adding steps and one cumsum.
     """
-    start = start.copy()
-    end = end.copy()
-    neg = start < 0
-    start[neg] += n
-    end[neg] += n
-    over = end >= n
-    if over.any():
-        start = np.concatenate((start, np.zeros(int(over.sum()), np.int64)))
-        end = np.concatenate((np.where(over, n - 1, end), end[over] - n))
-        ids = np.concatenate((ids, ids[over]))
+    step = ids - NOISE
     labels = np.zeros(n, np.int64)
     labels[0] = NOISE
-    labels[start] += ids - NOISE
+    # a negative start indexes its place one turn up
+    labels[start] += step
     stop = end < n - 1
-    labels[end[stop] + 1] -= ids[stop] - NOISE
+    labels[end[stop] + 1] -= step[stop]
+    if start[0] < 0:
+        # the first segment also runs from index 0 to its end
+        labels[0] += step[0]
+    elif end[-1] >= n:
+        # the last segment goes on from index 0, one turn down
+        labels[0] += step[-1]
+        labels[end[-1] - n + 1] -= step[-1]
     return np.cumsum(labels, out=labels)
 
 
@@ -253,8 +290,11 @@ def label_clusters(lower, upper, chains, min_points, policy, circular):
         last = last[:-1]
     k = first.size
     ids = np.arange(1, k + 1, dtype=np.int64)
-    shift = np.where(first < 0, -n, 0)
-    reach_lo = lower[first - shift] + shift
+    # a chain closed across the seam starts one turn down, at a negative
+    # index that reads its place one turn up
+    reach_lo = lower[first]
+    if first[0] < 0:
+        reach_lo[0] -= n
     reach_hi = upper[last]
     if k == 1 and circular and (
         cores == n if policy == "noise" else reach_hi[0] - reach_lo[0] + 1 >= n
@@ -285,10 +325,12 @@ def label_clusters(lower, upper, chains, min_points, policy, circular):
             seg_lo[0] = max(seg_lo[0], reach_hi[-1] - n + 1)
         labels = _fill(n, seg_lo, seg_hi, ids)
         lo, hi = reach_lo, reach_hi
-    if circular:
-        # a range that starts below index 0 is reported one turn up
-        turn = np.where(lo < 0, n, 0)
-        lo, hi = lo + turn, hi + turn
+    if lo[0] < 0:
+        # a range that starts below index 0 (only the first can) is
+        # reported one turn up
+        lo, hi = lo.copy(), hi.copy()
+        lo[0] += n
+        hi[0] += n
     return labels, lo, hi
 
 

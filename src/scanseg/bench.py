@@ -5,8 +5,10 @@ cluster-phase cost across an epsilon sweep at fixed size.  Both time the
 default clustering path.  The operation counters in each row are the
 paper's O(N) sweep's steps and touches, derived from the bounds and
 chains that path computes, so they are deterministic and carry the
-complexity claims; wall times carry the real (O(N log N)) cost and are
-only ever checked with loose tolerances, since clocks are machine noise.
+complexity claims.  Wall times carry the real cost, with bounds in
+O(N log VEC_BLOCK) while neighborhoods stay under a block and O(N log N)
+only when one neighborhood spans the array; they are only ever checked
+with loose tolerances, since clocks are machine noise.
 
 The data generator makes k = ceil(sqrt(N)) uniform clusters of width 1
 separated by gaps of 10, so for the paired epsilon choice the average

@@ -8,8 +8,11 @@ expansion touches each point at most twice, which keeps the whole pass at
 O(N) after the sort.
 
 The work itself runs in the vectorized NumPy kernels of
-:mod:`scanseg._kernels`: O(N log N), far faster in practice, and
-bit-identical to that sweep in bounds, labels and cluster ranges.  Each
+:mod:`scanseg._kernels`, far faster in practice and bit-identical to that
+sweep in bounds, labels and cluster ranges.  Their bounds cost
+O(N log VEC_BLOCK) while neighborhoods stay under one block of
+``_kernels.VEC_BLOCK`` points, and O(N log N) only when one neighborhood
+spans the array.  Each
 call makes the same kernel calls in turn, each returning its arrays:
 neighborhood bounds, chains of linked cores, then labels and cluster
 ranges.  A call that passes ``counters=`` adds to them the steps and
@@ -105,12 +108,13 @@ class OpCounters:
 
     The counts state what the paper's O(N) sweep would do on the bounds
     and chains a call computes; they are derived from those arrays, not
-    measured, and wall-clock time carries the O(N log N) cost of the code
-    that actually runs.  ``neighborhood_steps`` counts inner pointer
-    advances while computing neighborhood bounds: exactly 2 * N per linear
-    call, at most 4 * N - 2 per circular one.  ``expand_touches`` counts
-    points examined during cluster expansion, at most 2 * N per call under
-    every border policy.
+    measured, and wall-clock time carries the cost of the code that
+    actually runs: bounds in O(N log VEC_BLOCK) while neighborhoods stay
+    under a block, O(N log N) only when one neighborhood spans the array.
+    ``neighborhood_steps`` counts inner pointer advances while computing
+    neighborhood bounds: exactly 2 * N per linear call, at most 4 * N - 2
+    per circular one.  ``expand_touches`` counts points examined during
+    cluster expansion, at most 2 * N per call under every border policy.
     """
 
     neighborhood_steps: int = 0

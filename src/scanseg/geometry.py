@@ -116,8 +116,10 @@ def tls_fit(points) -> PolarLine:
         raise InsufficientDataError("line fit needs at least 2 points")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    cx = pts[:, 0].mean()
-    cy = pts[:, 1].mean()
+    # the sum and division of .mean(), without its per-call overhead
+    n = pts.shape[0]
+    cx = float(np.add.reduce(pts[:, 0])) / n
+    cy = float(np.add.reduce(pts[:, 1])) / n
     dx = pts[:, 0] - cx
     dy = pts[:, 1] - cy
     sxx = float(dx @ dx)
@@ -157,15 +159,20 @@ def circular_mean(angles, period: float = TWO_PI) -> float:
         raise ValueError(f"angles must be one-dimensional, got shape {a.shape}")
     if a.size == 0:
         raise InsufficientDataError("circular mean of an empty set")
-    if not np.isfinite(a).all():
+    # in range means finite too (min and max are NaN if any angle is, and
+    # an infinity fails a bound), so the finiteness scan runs only to name
+    # what is wrong
+    in_range = 0.0 <= a.min() and a.max() < period
+    if not in_range and not np.isfinite(a).all():
         raise ValueError("angles must be finite")
     if not np.isfinite(period) or period <= 0.0:
         raise ValueError(f"period must be finite and > 0, got {period}")
-    if a.min() < 0.0 or a.max() >= period:
+    if not in_range:
         raise ValueError(f"angles must lie in [0, {period!r})")
     scale = TWO_PI / period
-    c = float(np.cos(a * scale).sum())
-    s = float(np.sin(a * scale).sum())
+    a = a * scale
+    c = float(np.cos(a).sum())
+    s = float(np.sin(a).sum())
     if math.hypot(c, s) <= RESULTANT_TOL * a.size:
         raise UndefinedMeanError("resultant vanishes, circular mean undefined")
     return wrap_angle(math.atan2(s, c) / scale, period)

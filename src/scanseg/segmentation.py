@@ -93,12 +93,18 @@ class FeatureCluster:
         return self.point_indices.size
 
 
-def _member_positions(labels: np.ndarray, cluster, n: int, all_policy: bool) -> np.ndarray:
+def _member_positions(labels: np.ndarray, clusters, n: int, all_policy: bool) -> list:
+    """Ascending member positions of each cluster, in cluster order."""
     # under ALL_CLUSTERS labels are last-claimant, so membership comes
-    # from the (possibly overlapping) range instead
+    # from the (possibly overlapping) ranges instead
     if all_policy:
-        return np.unique(cluster.indices(n))
-    return np.flatnonzero(labels == cluster.id)
+        return [np.unique(c.indices(n)) for c in clusters]
+    # one stable sort groups the positions by label, noise first, each
+    # group still ascending; bin c + 1 counts label c, and bin 1 (label 0)
+    # stays empty, so ends[c] is where cluster c's group ends
+    order = labels.argsort(kind="stable")
+    ends = np.bincount(labels + 1, minlength=len(clusters) + 2).cumsum()[1:].tolist()
+    return [order[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
 def angular_segmentation(
@@ -137,8 +143,7 @@ def angular_segmentation(
     # pass, each sorted by (distance, original index) in its own run
     all_policy = params.border_policy is BorderPolicy.ALL_CLUSTERS
     means, members, dists = [], [], []
-    for ac in angular_clusters:
-        pos = _member_positions(labels1, ac, m, all_policy)
+    for pos in _member_positions(labels1, angular_clusters, m, all_policy):
         try:
             mean_theta = circular_mean(theta_sorted[pos], math.pi)
             fallback = False
@@ -168,8 +173,9 @@ def angular_segmentation(
     stage2 = DbscanParams(params.epsilon_dist, params.min_points, params.border_policy)
     labels2, subclusters = _dbscan_1d_groups(dist, group, stage2, counters=counters)
     out: list[FeatureCluster] = []
-    for sc in subclusters:
-        spos = _member_positions(labels2, sc, sub_orig.size, all_policy)
+    for sc, spos in zip(
+        subclusters, _member_positions(labels2, subclusters, sub_orig.size, all_policy)
+    ):
         # a border-stealing earlier cluster can push a late cluster
         # below the floor; such remnants count as noise
         if spos.size < params.min_points:

@@ -20,6 +20,7 @@ from scanseg import (
     dbscan_1d,
     dbscan_1d_circular,
 )
+from scanseg import _kernels
 from scanseg._kernels import VEC_BLOCK, linear_bounds, sweep_steps
 from scanseg.dbscan1d import _dbscan_1d_groups
 from scanseg.bench import generate_separated_clusters, scaling_epsilon
@@ -494,6 +495,26 @@ class TestCountedPathEquivalence:
             cases += 1
         assert cases == 20_000
 
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_seeded_fuzz_in_small_blocks(self, block, monkeypatch):
+        # every fuzz case fits in one default block and so takes the
+        # one-block path; a block of 7 sends the same cases through the
+        # blocked path, and one of 64 just holds the largest of them
+        monkeypatch.setattr(_kernels, "VEC_BLOCK", block)
+        cases = 0
+        for x, eps, period, mp, policy in fuzz_cases(2_000, seed=17):
+            lower, upper, _ = assert_matches_sweep(x, eps, period, mp, policy)
+            if period is None:
+                got_lower, got_upper = calculate_neighborhood(x, eps)
+            else:
+                got_lower, got_upper = calculate_neighborhood_circular(
+                    x, eps, CircularDomain(period)
+                )
+            np.testing.assert_array_equal(got_lower, lower)
+            np.testing.assert_array_equal(got_upper, upper)
+            cases += 1
+        assert cases == 2_000
+
     def test_larger_than_a_block(self):
         # chains, duplicate runs and border points straddle block edges
         n = 3 * VEC_BLOCK + 17
@@ -618,6 +639,30 @@ class TestRecluster:
         ]
         for groups, ids, eps, mp in cases:
             assert_groups_match_per_group_runs(groups, np.array(ids), eps, mp, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_small_blocks_match_one_block(self, policy, monkeypatch):
+        # the blocked path, on grouped lattice values, against the
+        # one-block path that every case takes by default
+        rng = np.random.default_rng(23)
+        cases = []
+        for _ in range(300):
+            sizes = rng.integers(1, 13, int(rng.integers(1, 7)))
+            step = float(rng.choice([0.1, 0.125, 0.3, 0.5]))
+            groups = [np.sort(step * rng.integers(0, 9, k)) for k in sizes]
+            ids = np.repeat(np.cumsum(rng.integers(1, 3, sizes.size)), sizes)
+            eps = step * int(rng.integers(0, 3))
+            params = DbscanParams(eps, int(rng.integers(1, 6)), policy)
+            cases.append((np.concatenate(groups), ids, params))
+        want = [(linear_bounds(x, p.epsilon, g), _dbscan_1d_groups(x, g, p)) for x, g, p in cases]
+        monkeypatch.setattr(_kernels, "VEC_BLOCK", 7)
+        for (x, g, p), ((lower, upper), (labels, clusters)) in zip(cases, want):
+            got_lower, got_upper = linear_bounds(x, p.epsilon, g)
+            np.testing.assert_array_equal(got_lower, lower)
+            np.testing.assert_array_equal(got_upper, upper)
+            got_labels, got_clusters = _dbscan_1d_groups(x, g, p)
+            np.testing.assert_array_equal(got_labels, labels)
+            assert got_clusters == clusters
 
     def test_matches_fresh_run(self):
         rng = np.random.default_rng(9)

@@ -24,6 +24,7 @@ from scanseg import (
 )
 from scanseg.geometry import _ANGLE_BLOCK, _principal_directions
 from scanseg.oracle import eigen_tls
+from geometry_reference import outcome, reference_circular_mean, reference_tls_fit
 
 TWO_PI = 2.0 * np.pi
 
@@ -145,6 +146,109 @@ class TestTlsFit:
                 dd = line.d + rng.uniform(-0.3, 0.3)
                 dt = line.theta + rng.uniform(-0.3, 0.3)
                 assert best <= residual_ss(pts, dd, dt) + 1e-9
+
+
+@st.composite
+def fit_point_sets(draw):
+    """Point sets for tls_fit: random, two points, collinear, coincident and
+    isotropic ones (regular polygons), shifted and scaled by powers of ten
+    from tiny (squares underflow) to huge (sums near overflow)."""
+    kind = draw(st.sampled_from(["random", "two", "collinear", "coincident", "isotropic"]))
+    coord = st.floats(-10.0, 10.0)
+    n = 2 if kind == "two" else draw(st.integers(2, 40))
+    if kind in ("random", "two"):
+        pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    elif kind == "collinear":
+        t = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+        phi = draw(st.floats(0.0, TWO_PI))
+        pts = np.array(draw(st.tuples(coord, coord))) + np.outer(t, [np.cos(phi), np.sin(phi)])
+    elif kind == "coincident":
+        pts = np.tile(draw(st.tuples(coord, coord)), (n, 1))
+    else:
+        k = draw(st.integers(3, 12))
+        phi = TWO_PI * np.arange(k) / k + draw(st.floats(0.0, TWO_PI))
+        radius = draw(st.floats(0.1, 10.0))
+        pts = np.array(draw(st.tuples(coord, coord))) + radius * np.column_stack(
+            [np.cos(phi), np.sin(phi)]
+        )
+    pts = pts + draw(st.sampled_from([0.0, 1e6, -3e9, 1e15]))
+    return pts * 10.0 ** draw(st.sampled_from([0, 0, -3, 5, -200, -160, 120, 150]))
+
+
+@st.composite
+def angle_sets(draw):
+    """(angles, period) for circular_mean: clean sets, tight bundles and
+    antipodal pairs, sets holding NaN, infinities, negative values or values
+    at or past the period, and now and then a period that is no period."""
+    if draw(st.integers(0, 9)) == 0:
+        period = draw(st.sampled_from([0.0, -1.0, np.inf, -np.inf, np.nan]))
+        inside = st.floats(0.0, 10.0)
+    else:
+        period = draw(st.sampled_from([np.pi, TWO_PI, 1.0, 360.0]))
+        inside = st.floats(0.0, period, exclude_max=True)
+    kind = draw(st.sampled_from(["clean", "bundle", "antipodal", "bad", "empty"]))
+    if kind == "empty":
+        return np.array([]), period
+    angles = draw(st.lists(inside, min_size=1, max_size=30))
+    if kind == "bundle":
+        angles = [a % 0.01 for a in angles]
+    elif kind == "antipodal":
+        angles = [angles[0], (angles[0] + period / 2.0) % period]
+    elif kind == "bad":
+        specials = [np.nan, np.inf, -np.inf, -1.0, -5e-324, period, np.nextafter(period, np.inf), 2 * period]
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(angles)))
+            angles.insert(at, draw(st.sampled_from(specials)))
+    return np.array(angles), period
+
+
+class TestAgainstEarlierForms:
+    """tls_fit and circular_mean save per-call overhead; they must still
+    give the floats and the exceptions of the forms they replaced."""
+
+    @settings(max_examples=400)
+    @given(fit_point_sets())
+    def test_tls_fit_bit_for_bit(self, pts):
+        assert outcome(tls_fit, pts) == outcome(reference_tls_fit, pts)
+
+    def test_tls_fit_named_sets(self):
+        for pts in (
+            [[0.0, 1.0], [1.0, 2.0]],
+            [[1.0, 1.0]] * 3,
+            [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            [[1e150, 2e150], [3e150, -1e150], [5e150, 7e150]],
+            [[1e-200, 0.0], [3e-200, 1e-200], [0.0, 0.0]],
+            [[1.0, np.nan], [2.0, 3.0]],
+            [[np.inf, 0.0], [2.0, 3.0]],
+            [[1.0, 1.0]],
+        ):
+            pts = np.array(pts)
+            assert outcome(tls_fit, pts) == outcome(reference_tls_fit, pts)
+
+    @settings(max_examples=400)
+    @given(angle_sets())
+    def test_circular_mean_bit_for_bit(self, case):
+        angles, period = case
+        got = outcome(circular_mean, angles, period)
+        assert got == outcome(reference_circular_mean, angles, period)
+
+    @pytest.mark.parametrize(
+        "angles, message",
+        [
+            ([0.5, np.nan], "angles must be finite"),
+            ([np.inf, 0.5], "angles must be finite"),
+            ([-np.inf], "angles must be finite"),
+            ([0.5, -1e-300], "angles must lie in"),
+            ([np.pi, 0.5], "angles must lie in"),
+            ([4.0], "angles must lie in"),
+        ],
+    )
+    def test_circular_mean_errors(self, angles, message):
+        with pytest.raises(ValueError, match=message):
+            circular_mean(np.array(angles), np.pi)
+        assert outcome(circular_mean, angles, np.pi) == outcome(
+            reference_circular_mean, angles, np.pi
+        )
 
 
 class TestSignedDistance:

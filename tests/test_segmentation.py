@@ -10,16 +10,17 @@ from scanseg import (
     BorderPolicy,
     CircularDomain,
     DbscanParams,
+    DegenerateFitError,
     FeatureCluster,
     InsufficientDataError,
     NoiseModel,
     OpCounters,
+    OrientationUndefinedError,
     RoomModel,
     Scan,
     SegmentationParams,
     UndefinedMeanError,
     angular_segmentation,
-    circular_mean,
     dbscan_1d,
     dbscan_1d_circular,
     estimate_local_angles,
@@ -28,6 +29,7 @@ from scanseg import (
     signed_distance_to_origin_line,
     wrap_angle,
 )
+from geometry_reference import reference_circular_mean, reference_tls_fit
 
 PARAMS = SegmentationParams(0.1, 0.2, 16)
 
@@ -290,6 +292,9 @@ class TestLineFitting:
 # angular_segmentation used to run stage 2 as one clustering call per
 # angular cluster.  That loop is kept here, with dbscan_1d in place of the
 # per-call entry point it used, as the reference for the one-pass stage 2.
+# It finds members with one boolean scan per cluster and takes circular
+# means in their earlier form, so it also pins the one-sort membership
+# and the faster circular_mean.
 
 
 def _member_positions(labels, cluster, n, all_policy):
@@ -324,7 +329,7 @@ def reference_angular_segmentation(scan, params, *, counters=None):
     for ac in angular_clusters:
         pos = _member_positions(labels1, ac, m, all_policy)
         try:
-            mean_theta = circular_mean(theta_sorted[pos], math.pi)
+            mean_theta = reference_circular_mean(theta_sorted[pos], math.pi)
             fallback = False
         except UndefinedMeanError:
             mean_theta = float(theta_sorted[pos[pos.size // 2]])
@@ -433,6 +438,25 @@ def assert_same_as_reference(scan, params):
         (c.id, c.point_indices.tolist(), c.mean_theta, c.mean_theta_fallback) for c in want
     ]
     assert counters == want_counters
+    fit_cluster_lines(scan, got)
+    assert [fitted(c) for c in got] == [reference_fit(scan, c) for c in want]
+
+
+def fitted(cluster):
+    """The bits of a cluster's fitted line, or its fit error."""
+    if cluster.fitted_line is None:
+        return cluster.fit_error
+    return cluster.fitted_line.d.hex(), cluster.fitted_line.theta.hex()
+
+
+def reference_fit(scan, cluster):
+    """fitted() as fit_cluster_lines gives it, with the earlier centroid form."""
+    pts = np.column_stack((scan.x[cluster.point_indices], scan.y[cluster.point_indices]))
+    try:
+        line = reference_tls_fit(pts)
+    except (DegenerateFitError, OrientationUndefinedError, InsufficientDataError) as e:
+        return str(e)
+    return line.d.hex(), line.theta.hex()
 
 
 class TestStage2MatchesReference:
