@@ -1,13 +1,16 @@
 """Vectorized kernels behind the sorted 1D clustering core.
 
-Neighborhood bounds come from ``np.searchsorted``, corrected to the exact
-float predicate of the paper's pointer sweep.  They run in blocks of
+Upper neighborhood bounds come from ``np.searchsorted``, corrected to the
+exact float predicate of the paper's pointer sweep.  They run in blocks of
 ``VEC_BLOCK`` points that keep scratch memory small, each searching a
 window of the block plus one neighborhood, so after the sort they cost
 O(N log VEC_BLOCK) while neighborhoods stay under a block, and O(N log N)
-only when one neighborhood spans the array.  Labels and cluster ranges
-then follow from chains of linked cores.  Both are bit-identical to the
-paper's counted O(N) sweep, which the tests keep as the reference.
+only when one neighborhood spans the array.  Lower bounds are not
+searched: lower[i] is the first point whose upper bound reaches i, a
+running count of the upper bounds, across the seam of a ring too.  Labels
+and cluster ranges then follow from chains of linked cores.  All are
+bit-identical to the paper's counted O(N) sweep, which the tests keep as
+the reference.
 
 The paper's operation counts follow from the same bounds and chains:
 :func:`sweep_steps` and :func:`sweep_touches` give the pointer steps and
@@ -32,14 +35,15 @@ import numpy as np
 NOISE = -1
 
 
-# Bounds: a searchsorted guess per point, corrected to the exact predicate
-# the sweep evaluates.  Labels: in one dimension two consecutive cores
-# share a cluster exactly when the later one lies inside the earlier one's
-# upper bound, and a non-core point can only be reached by the cluster of
-# its previous core and that of its next core, so whole clusters follow
-# from their first and last cores.  Work runs in blocks of VEC_BLOCK
-# points: besides the bounds and labels, every array scales with the block
-# or with the number of clusters.
+# Upper bounds: a searchsorted guess per point, corrected to the exact
+# predicate the sweep evaluates.  Labels: in one dimension two consecutive
+# cores share a cluster exactly when the later one lies inside the earlier
+# one's upper bound, and a non-core point can only be reached by the
+# cluster of its previous core and that of its next core, so whole
+# clusters follow from their first and last cores.  Work runs in blocks of
+# VEC_BLOCK points: besides the bounds, the labels and the count of upper
+# bounds that gives lower, every array scales with the block or with the
+# number of clusters.
 
 VEC_BLOCK = 1 << 15
 
@@ -100,15 +104,11 @@ def _block_upper(x, s, eps, a, b, top):
         def fits(j, k):
             return (x[j] - xi[k] <= eps) & (j <= last[k])
 
-    if b - a == s.shape[0]:
-        up = s.searchsorted(key, "right")
-        up -= 1
-    else:
-        # the guesses of the block lie between those of its end points, so
-        # searching that window alone gives the same answers, faster
-        end = int(s.searchsorted(key[-1], "right"))
-        up = s[a:end].searchsorted(key, "right")
-        up += a - 1
+    # the guesses of the block lie between those of its end points, so
+    # searching that window alone gives the same answers, faster
+    end = int(s.searchsorted(key[-1], "right"))
+    up = s[a:end].searchsorted(key, "right")
+    up += a - 1
     _last_fit(s, up, fits, linear=True)
     return up
 
@@ -136,25 +136,12 @@ def linear_bounds(x, eps, group=None):
         s.real = group
         s.imag = x
         top = np.searchsorted(group, group, "right") - 1
-    if n <= VEC_BLOCK:
-        # one block: the upper bounds all lie in [0, n), so lower is a
-        # running count of them
-        upper = _block_upper(x, s, eps, 0, n, top)
-        lower = np.zeros(n, np.int64)
-        np.cumsum(np.bincount(upper, minlength=n)[:-1], out=lower[1:])
-        return lower, upper
-    lower = np.empty(n, np.int64)
     upper = np.empty(n, np.int64)
     for a, b in _blocks(n):
         upper[a:b] = _block_upper(x, s, eps, a, b, top)
-        # points start..stop-1 have their upper bound inside the block
-        start, stop = (int(j) for j in upper[:b].searchsorted((a, b), "left"))
-        counts = np.zeros(b - a, np.int64)
-        for c in range(start, stop, VEC_BLOCK):
-            counts += np.bincount(upper[c : min(c + VEC_BLOCK, stop)] - a, minlength=b - a)
-        lower[a] = start
-        np.cumsum(counts[:-1], out=lower[a + 1 : b])
-        lower[a + 1 : b] += start
+    # the upper bounds all lie in [0, n), so lower is a running count of them
+    lower = np.zeros(n, np.int64)
+    np.cumsum(np.bincount(upper, minlength=n)[:-1], out=lower[1:])
     return lower, upper
 
 
@@ -167,14 +154,15 @@ def circular_bounds(x, eps, period):
     The wrapped distance is evaluated as period - (hi - lo) with hi and lo
     the raw stored values, matching the min(d, period - d) form used by the
     brute-force reference, so both sides make identical float decisions.
-    A point continues past the seam only when its linear bound already
-    reaches the array end; there the wrapped predicate picks up the values
-    from the other end.
+    A point continues past the seam only when its linear upper bound
+    already reaches the array end; there the wrapped predicate picks up the
+    values from the other end.  Lower bounds are then counted from the
+    upper ones, across the seam too, as on a line.
     """
     n = x.shape[0]
     lower, upper = linear_bounds(x, eps)
     # linear bounds never decrease, so the points whose upper bound reaches
-    # the array end form a tail, and those whose lower bound is 0 a head
+    # the array end form a tail
     tail = int(upper.searchsorted(n - 1, "left"))
     for a in range(tail, n, VEC_BLOCK):
         xt = x[a : a + VEC_BLOCK]
@@ -183,17 +171,19 @@ def circular_bounds(x, eps, period):
         _last_fit(x, j, lambda i, k: period - (xt[k] - x[i]) <= eps)
         j += 1
         upper[a : a + VEC_BLOCK] += j
-    head = int(lower.searchsorted(0, "right"))
-    for a in range(0, head, VEC_BLOCK):
-        b = min(a + VEC_BLOCK, head)
-        xh = x[a:b]
-        # the last value still out of reach across the seam; all values
-        # above it are neighbors
-        j = x.searchsorted((xh - eps) + period, "left")
-        j -= 1
-        _last_fit(x, j, lambda i, k: period - (x[i] - xh[k]) > eps)
-        j += 1 - n
-        lower[a:b] = j
+    # Lower bounds across the seam follow from upper, as on a line: a head
+    # point i < head, reached by the last point, has for lower bound the
+    # first tail point whose upper bound reaches n + i.  This is exact for
+    # two reasons.  Across the seam two points are neighbors by one float
+    # expression, period - (x_tail - x_head) <= eps, the same from either
+    # side, and the tail pass above evaluated it.  And rounding is
+    # monotone, so a point that does not reach x[n-1] on the line does not
+    # reach across the seam either: only tail points can.
+    head = int(upper[-1]) - (n - 1) if n else 0
+    reach = upper[tail:]
+    for a, b in _blocks(head):
+        lower[a:b] = reach.searchsorted(np.arange(n + a, n + b), "left")
+        lower[a:b] += tail - n
     return lower, upper
 
 

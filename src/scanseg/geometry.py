@@ -65,7 +65,7 @@ class PolarLine:
     theta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.d) and np.isfinite(self.theta)):
+        if not (math.isfinite(self.d) and math.isfinite(self.theta)):
             raise ValueError("d and theta must be finite")
         if self.d < 0.0:
             raise ValueError(f"d must be >= 0, got {self.d}")

@@ -7,10 +7,11 @@ Two line-oriented text formats, both diff-able and full precision:
 * 1D point lists: one scalar per line, optionally preceded by a
   ``# circular period=<real>`` comment declaring a circular domain.
 
-Both are ASCII: a line holding any other byte raises ScanFormatError
-naming that line.  Floats are written with repr, which round-trips every
-finite double exactly, by one block row writer that the scanseg command
-uses for its label columns too.
+Both are ASCII: a line holding any other byte, or any other character
+read from a file object, raises ScanFormatError naming that line.
+Floats are written with repr, which round-trips every finite double
+exactly, by one block row writer that the scanseg command uses for its
+label columns too.
 
 The generator ray-casts beams from a sensor pose inside a simple polygon
 and perturbs ranges with seeded multiplicative Gaussian noise; the RNG
@@ -82,7 +83,7 @@ def save_scan(scan: Scan, sink) -> None:
 
 def _parse_header(line: str) -> tuple[int, bool]:
     m = re.fullmatch(r"beams=(\d+) full_circle=([01])", line.strip())
-    if not m:
+    if not m or not line.isascii():
         raise ScanFormatError(f"line 1: bad header {line.strip()!r}")
     return int(m.group(1)), m.group(2) == "1"
 
@@ -102,6 +103,8 @@ def load_scan(source) -> Scan:
     if "\r" in text:  # only a file object passed in can still hold one
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     stray = any(c in text for c in _STRAY_BREAKS)
+    # float() and str.split() also take non-ASCII digits and spaces
+    ascii_only = text.isascii()
     lines = text.split("\n")
     del text  # not kept alive next to its lines while the records parse
     if lines[-1] == "":  # a final newline ends the last line
@@ -134,6 +137,8 @@ def load_scan(source) -> Scan:
         v = parts[2] == "1"
         if v and r < 0.0:
             raise ScanFormatError(f"line {lineno}: negative range on a valid beam")
+        if not ascii_only and not rec.isascii():
+            raise ScanFormatError(f"line {lineno}: non-ASCII character in {rec!r}")
         angles[i] = a
         ranges[i] = r
         valid[i] = v
@@ -151,10 +156,8 @@ def load_points(source) -> tuple[np.ndarray, float | None]:
     with _maybe_open(source, "r") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                if not line.isascii():
+                if not raw.isascii():
                     raise ScanFormatError(f"line {lineno}: non-ASCII character in comment")
                 m = re.match(r"#\s*circular\s+period=(\S+)$", line)
                 if m:
@@ -165,13 +168,17 @@ def load_points(source) -> tuple[np.ndarray, float | None]:
                     if not math.isfinite(period) or period <= 0.0:
                         raise ScanFormatError(f"line {lineno}: period must be finite and > 0")
                 continue
-            try:
-                v = float(line)
-            except ValueError:
-                raise ScanFormatError(f"line {lineno}: not a number: {line!r}") from None
-            if not math.isfinite(v):
-                raise ScanFormatError(f"line {lineno}: non-finite value")
-            vals.append(v)
+            if line:
+                try:
+                    v = float(line)
+                except ValueError:
+                    raise ScanFormatError(f"line {lineno}: not a number: {line!r}") from None
+                if not math.isfinite(v):
+                    raise ScanFormatError(f"line {lineno}: non-finite value")
+                vals.append(v)
+            # float() and strip() also take non-ASCII digits and spaces
+            if not raw.isascii():
+                raise ScanFormatError(f"line {lineno}: non-ASCII character in {line!r}")
     return np.array(vals, dtype=np.float64), period
 
 

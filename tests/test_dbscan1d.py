@@ -469,6 +469,18 @@ def assert_agrees_with_sweep_and_oracle(x, eps, period, mp):
         np.testing.assert_array_equal(labels, want)
 
 
+def seam_group(n, seed=5):
+    """Sorted values on a ring of period 4000 whose dense group straddles
+    the seam: nine tenths of them lie within 1 of it, half on each side,
+    rounded to four places so that duplicate runs cross block edges too."""
+    rng = np.random.default_rng(seed)
+    k = 9 * n // 20
+    x = np.concatenate((rng.random(k), 3999.0 + rng.random(k), rng.random(n - 2 * k) * 4000.0))
+    x = np.round(x, 4)
+    x[x >= 4000.0] = 0.0
+    return np.sort(x)
+
+
 class TestCountedPathEquivalence:
     @settings(max_examples=300)
     @given(edge_instance(circular=False))
@@ -497,9 +509,10 @@ class TestCountedPathEquivalence:
 
     @pytest.mark.parametrize("block", [7, 64])
     def test_seeded_fuzz_in_small_blocks(self, block, monkeypatch):
-        # every fuzz case fits in one default block and so takes the
-        # one-block path; a block of 7 sends the same cases through the
-        # blocked path, and one of 64 just holds the largest of them
+        # every fuzz case fits in one default block; a block of 7 splits
+        # the same cases into several blocks, and one of 64 just holds the
+        # largest of them.  Of the kernels only core_chains still has a
+        # separate one-block path.
         monkeypatch.setattr(_kernels, "VEC_BLOCK", block)
         cases = 0
         for x, eps, period, mp, policy in fuzz_cases(2_000, seed=17):
@@ -529,6 +542,13 @@ class TestCountedPathEquivalence:
         runs = np.repeat([0.0, 1.0, 1.5], [VEC_BLOCK + 5, 7, 100])
         assert_paths_agree(runs, 0.5, None, 8)
         assert_paths_agree(runs, 0.5, 3.0, 8)
+        # the last point reaches more than a block of points across the
+        # seam, and more than a block of points reach across it
+        x = seam_group(80_000)
+        lower, upper = calculate_neighborhood_circular(x, 1.0, CircularDomain(4000.0))
+        assert upper[-1] - (x.size - 1) > VEC_BLOCK
+        assert x.size - np.searchsorted(upper, x.size, "left") > VEC_BLOCK
+        assert_paths_agree(x, 1.0, 4000.0, 5)
 
     def test_border_points_contested_across_the_seam(self):
         # two clusters, one on each side of the seam, reach the same
@@ -549,6 +569,20 @@ class TestCountedPathEquivalence:
         tracemalloc.start()
         try:
             dbscan_1d(x, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n + n + 2 * 2**20
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_circular_peak_allocation_stays_within_three_arrays(self, policy):
+        # the same bound on a ring whose dense group straddles the seam
+        n = 900_000
+        x = seam_group(n)
+        params = DbscanParams(1.0, 5, policy)
+        tracemalloc.start()
+        try:
+            dbscan_1d_circular(x, params, CircularDomain(4000.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -60,6 +60,9 @@ class TestPolarForm:
             PolarLine(-1.0, 0.0)
         with pytest.raises(ValueError):
             PolarLine(1.0, TWO_PI + 0.1)
+        for d, theta in ((np.nan, 0.0), (1.0, np.inf)):
+            with pytest.raises(ValueError, match="d and theta must be finite"):
+                PolarLine(d, theta)
 
     def test_direction_is_normal_rotated(self):
         line = PolarLine(2.0, 0.0)

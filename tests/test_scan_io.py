@@ -138,12 +138,20 @@ class TestScanFile:
             (b"beams=1 full_circle=0\n0.0 1.0\xff 1\n", "line 2"),
             (b"beams=2 full_circle=0\n0.0 1.0 1\n0.1 1.0 1\xff\n", "line 3"),
             (b"beams=1\xff full_circle=0\n0.0 1.0 1\n", "line 1"),
+            # text from a file object: float() reads non-ASCII digits and
+            # split() non-ASCII spaces
+            ("beams=1 full_circle=0\n\u0661 1.0 1\n", "line 2"),
+            ("beams=2 full_circle=0\n0.0 1.0 1\n0.1\u3000 1.0 1\n", "line 3"),
+            ("beams=\u0661 full_circle=0\n0.0 1.0 1\n", "line 1"),
         ],
     )
     def test_non_ascii_byte_reports_its_line(self, tmp_path, data, line):
         path = tmp_path / "scan.txt"
-        path.write_bytes(data)
-        with pytest.raises(ScanFormatError, match=line):
+        if isinstance(data, str):
+            path = io.StringIO(data)
+        else:
+            path.write_bytes(data)
+        with pytest.raises(ScanFormatError, match=f"^{line}: "):
             load_scan(path)
 
     @pytest.mark.parametrize("brk", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
@@ -209,12 +217,21 @@ class TestPointsFile:
             (b"1.0\n2.\xe9\n", "line 2"),
             (b"# caf\xe9\n1.0\n", "line 1"),
             (b"1.0\n# circular period=6.28\xe9\n", "line 2"),
+            # text from a file object: float() and strip() read non-ASCII
+            # digits and spaces
+            ("1.0\n\u0661\n", "line 2"),
+            ("1.0\n2.0\u3000\n", "line 2"),
+            ("\u3000\n1.0\n", "line 1"),
+            ("# c\u3000\n1.0\n", "line 1"),
         ],
     )
     def test_non_ascii_byte_reports_its_line(self, tmp_path, data, line):
         path = tmp_path / "pts.txt"
-        path.write_bytes(data)
-        with pytest.raises(ScanFormatError, match=line):
+        if isinstance(data, str):
+            path = io.StringIO(data)
+        else:
+            path.write_bytes(data)
+        with pytest.raises(ScanFormatError, match=f"^{line}: "):
             load_points(path)
 
 
