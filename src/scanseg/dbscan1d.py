@@ -134,11 +134,11 @@ class Cluster1D(NamedTuple):
 
     Circular clusters that cross the seam keep ``lower`` in [0, N) and
     let ``upper`` run past N - 1; ``indices`` maps back through modulo.
-    Under AS_NOISE the range spans the absorbed cores and the label array
-    stays authoritative for membership, because a non-core point can sit
-    strictly between two cores of the same cluster without joining it.
-    Likewise under ALL_CLUSTERS overlapping ranges make labels, not
-    ranges, the record of final (last-claimant) assignment.
+    Under every policy a cluster's members are the positions of its
+    range that are not labelled noise.  Under AS_NOISE the range spans
+    the absorbed cores, and a non-core point between them is noise.
+    Under ALL_CLUSTERS ranges may overlap, and labels record only the
+    last claimant.
     """
 
     id: int
@@ -205,6 +205,29 @@ class ClusterSequence(Sequence):
         if len(self) <= 6:
             return f"ClusterSequence({list(self)!r})"
         return f"ClusterSequence(<{len(self)} clusters>)"
+
+
+def _members(labels: np.ndarray, clusters: ClusterSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Member positions of all clusters in cluster order, and the cluster of each.
+
+    A cluster's members are the positions of its range, wrapped across the
+    seam and ascending, that are not labelled noise.  FIRST_CLUSTER fills
+    the labels from the ranges; under AS_NOISE a range spans its chain's
+    cores and the non-cores inside it are noise; under ALL_CLUSTERS a range
+    is the chain's full reach, none of it noise, labelled for the last claimant.
+    """
+    lo, hi, n = clusters._lo, clusters._hi, labels.shape[0]
+    sizes = hi - lo + 1
+    starts = sizes.cumsum() - sizes
+    cluster = np.arange(sizes.shape[0]).repeat(sizes)
+    pos = np.arange(cluster.shape[0]) + (lo - starts).repeat(sizes)
+    # only a ring has ranges past n - 1; wrapped, such a run ascends once sorted
+    for c in (hi >= n).nonzero()[0].tolist():
+        run = pos[starts[c] : starts[c] + sizes[c]]
+        run %= n
+        run.sort()
+    keep = labels[pos] != NOISE
+    return pos[keep], cluster[keep]
 
 
 def _checked_values(values, group=None) -> np.ndarray:

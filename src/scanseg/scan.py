@@ -19,8 +19,8 @@ class Scan:
     one whole turn in index order, so downstream steps may treat beam
     adjacency as circular across the first/last index.
 
-    ``x``/``y`` are computed at construction; the segmentation pipeline
-    only reads a scan and keeps its intermediates to itself.
+    ``x``/``y`` are computed at construction.  The scan owns read-only
+    copies of its inputs, so ``x``/``y`` always match ``ranges``.
     """
 
     beam_angles: np.ndarray
@@ -31,9 +31,9 @@ class Scan:
     y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        angles = np.ascontiguousarray(self.beam_angles, dtype=np.float64)
-        ranges = np.ascontiguousarray(self.ranges, dtype=np.float64)
-        valid = np.ascontiguousarray(self.valid, dtype=bool)
+        angles = np.array(self.beam_angles, dtype=np.float64)
+        ranges = np.array(self.ranges, dtype=np.float64)
+        valid = np.array(self.valid, dtype=bool)
         if angles.ndim != 1 or angles.shape != ranges.shape or angles.shape != valid.shape:
             raise ValueError("beam_angles, ranges, valid must be 1-d and equally long")
         if angles.size and not np.isfinite(angles).all():
@@ -48,6 +48,8 @@ class Scan:
         self.full_circle = bool(self.full_circle)
         self.x = ranges * np.cos(angles)
         self.y = ranges * np.sin(angles)
+        for a in (angles, ranges, valid, self.x, self.y):
+            a.flags.writeable = False
 
     @property
     def beams(self) -> int:

@@ -142,6 +142,7 @@ def load_scan(source) -> Scan:
         angles[i] = a
         ranges[i] = r
         valid[i] = v
+    del lines, records  # freed before the scan copies its arrays
     return Scan(angles, ranges, valid, full_circle)
 
 

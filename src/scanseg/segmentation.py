@@ -27,6 +27,7 @@ from .dbscan1d import (
     OpCounters,
     _check_min_points,
     _dbscan_1d_groups,
+    _members,
     dbscan_1d_circular,
 )
 from .geometry import (
@@ -37,7 +38,6 @@ from .geometry import (
     UndefinedMeanError,
     circular_mean,
     estimate_local_angles,
-    signed_distance_to_origin_line,
     tls_fit,
     wrap_angle,
 )
@@ -93,20 +93,6 @@ class FeatureCluster:
         return self.point_indices.size
 
 
-def _member_positions(labels: np.ndarray, clusters, n: int, all_policy: bool) -> list:
-    """Ascending member positions of each cluster, in cluster order."""
-    # under ALL_CLUSTERS labels are last-claimant, so membership comes
-    # from the (possibly overlapping) ranges instead
-    if all_policy:
-        return [np.unique(c.indices(n)) for c in clusters]
-    # one stable sort groups the positions by label, noise first, each
-    # group still ascending; bin c + 1 counts label c, and bin 1 (label 0)
-    # stays empty, so ends[c] is where cluster c's group ends
-    order = labels.argsort(kind="stable")
-    ends = np.bincount(labels + 1, minlength=len(clusters) + 2).cumsum()[1:].tolist()
-    return [order[a:b] for a, b in zip(ends[:-1], ends[1:])]
-
-
 def angular_segmentation(
     scan: Scan, params: SegmentationParams, *, counters: OpCounters | None = None
 ) -> list[FeatureCluster]:
@@ -124,8 +110,7 @@ def angular_segmentation(
         )
     theta = estimate_local_angles(scan.x, scan.y, scan.valid, scan.full_circle)
     orig = np.flatnonzero(scan.valid & np.isfinite(theta)).astype(np.int64)
-    m = orig.size
-    if m < params.min_points:
+    if orig.size < params.min_points:
         return []
 
     # stage 1: cluster by direction on the half-circle; stable sort keyed
@@ -141,30 +126,26 @@ def angular_segmentation(
     # stage 2: within each angular cluster, recluster by signed distance
     # to the through-origin line at the mean direction; all clusters in one
     # pass, each sorted by (distance, original index) in its own run
-    all_policy = params.border_policy is BorderPolicy.ALL_CLUSTERS
-    means, members, dists = [], [], []
-    for pos in _member_positions(labels1, angular_clusters, m, all_policy):
-        try:
-            mean_theta = circular_mean(theta_sorted[pos], math.pi)
-            fallback = False
-        except UndefinedMeanError:
-            mean_theta = float(theta_sorted[pos[pos.size // 2]])
-            fallback = True
-        normal = wrap_angle(mean_theta + 0.5 * math.pi)
-        member_orig = perm[pos]
-        means.append((mean_theta, fallback))
-        members.append(member_orig)
-        dists.append(
-            signed_distance_to_origin_line(scan.x[member_orig], scan.y[member_orig], normal)
-        )
-    if not members:
+    if not angular_clusters:
         return []
-    group = np.repeat(np.arange(len(members)), [p.size for p in members])
-    member_orig = np.concatenate(members)
-    dist = np.concatenate(dists)
-    # on a large scan these hold megabytes that the one pass below would
-    # otherwise add to its own
-    del theta, orig, perm, theta_sorted, labels1, members, dists
+    pos, group = _members(labels1, angular_clusters)
+    member_theta = theta_sorted[pos]
+    member_orig = perm[pos]
+    # free megabytes on a large scan before the steps below add their own
+    del theta, orig, perm, theta_sorted, labels1, pos
+    means, normals = [], []
+    ends = [0, *np.bincount(group).cumsum().tolist()]
+    for a, b in zip(ends, ends[1:]):
+        try:
+            means.append((circular_mean(member_theta[a:b], math.pi), False))
+        except UndefinedMeanError:
+            means.append((float(member_theta[(a + b) // 2]), True))
+        normal = wrap_angle(means[-1][0] + 0.5 * math.pi)
+        normals.append((math.cos(normal), math.sin(normal)))
+    # the products of signed_distance_to_origin_line, for all members at once
+    unit = np.array(normals)[group]
+    dist = scan.x[member_orig] * unit[:, 0] + scan.y[member_orig] * unit[:, 1]
+    del member_theta, unit
     # group is the first sort key and already ascending, so it keeps its order
     order = np.lexsort((member_orig, dist, group))
     sub_orig = member_orig[order]
@@ -172,23 +153,16 @@ def angular_segmentation(
     del member_orig, order
     stage2 = DbscanParams(params.epsilon_dist, params.min_points, params.border_policy)
     labels2, subclusters = _dbscan_1d_groups(dist, group, stage2, counters=counters)
+    spos, sub = _members(labels2, subclusters)
+    member_orig = sub_orig[spos]
+    member_orig = member_orig[np.lexsort((member_orig, sub))]
     out: list[FeatureCluster] = []
-    for sc, spos in zip(
-        subclusters, _member_positions(labels2, subclusters, sub_orig.size, all_policy)
-    ):
+    ends = [0, *np.bincount(sub).cumsum().tolist()]
+    for sc, a, b in zip(subclusters, ends, ends[1:]):
         # a border-stealing earlier cluster can push a late cluster
         # below the floor; such remnants count as noise
-        if spos.size < params.min_points:
-            continue
-        mean_theta, fallback = means[group[sc.lower]]
-        out.append(
-            FeatureCluster(
-                id=len(out) + 1,
-                point_indices=np.sort(sub_orig[spos]),
-                mean_theta=mean_theta,
-                mean_theta_fallback=fallback,
-            )
-        )
+        if b - a >= params.min_points:
+            out.append(FeatureCluster(len(out) + 1, member_orig[a:b], *means[group[sc.lower]]))
     return out
 
 

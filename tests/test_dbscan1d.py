@@ -22,7 +22,7 @@ from scanseg import (
 )
 from scanseg import _kernels
 from scanseg._kernels import VEC_BLOCK, linear_bounds, sweep_steps
-from scanseg.dbscan1d import _dbscan_1d_groups
+from scanseg.dbscan1d import _dbscan_1d_groups, _members
 from scanseg.bench import generate_separated_clusters, scaling_epsilon
 from scanseg.oracle import density_reachable_closure, naive_dbscan, naive_neighborhood
 from sweep_reference import run_sweep
@@ -337,6 +337,61 @@ class TestOracleEquivalence:
             for p in cores:
                 closure, _ = density_reachable_closure(x, p, eps, mp)
                 np.testing.assert_array_equal(closure, members)
+
+
+def assert_members_match_oracle(x, eps, mp, policy, period=None):
+    """_members gives each cluster's oracle member set, in cluster order.
+
+    Under ALL_CLUSTERS that is the reachability closure of a core the
+    labels give to the cluster, which also checks the ranges; otherwise
+    it is the positions labelled with the cluster's id.
+    """
+    params = DbscanParams(eps, mp, policy)
+    if period is None:
+        labels, clusters = dbscan_1d(x, params)
+    else:
+        labels, clusters = dbscan_1d_circular(x, params, CircularDomain(period))
+    pos, cluster = _members(labels, clusters)
+    assert (np.diff(cluster) >= 0).all()
+    if policy is BorderPolicy.ALL_CLUSTERS:
+        sizes = np.array([naive_neighborhood(x, i, eps, period).size for i in range(x.size)])
+    for k, c in enumerate(clusters):
+        if policy is BorderPolicy.ALL_CLUSTERS:
+            seed = np.flatnonzero((labels == c.id) & (sizes >= mp))[0]
+            want = density_reachable_closure(x, seed, eps, mp, period)[0]
+        else:
+            want = np.flatnonzero(labels == c.id)
+        np.testing.assert_array_equal(pos[cluster == k], want)
+
+
+class TestMembers:
+    @given(
+        sorted_values(max_size=80),
+        st.floats(0.0, 4.0),
+        st.integers(1, 5),
+        st.sampled_from(POLICIES),
+    )
+    def test_linear_members_match_oracle(self, x, eps, mp, policy):
+        assert_members_match_oracle(x, eps, mp, policy)
+
+    @given(circular_instance(), st.sampled_from(POLICIES))
+    def test_circular_members_match_oracle(self, inst, policy):
+        x, eps, period, mp = inst
+        assert_members_match_oracle(x, eps, mp, policy, period)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_contested_and_embedded_points(self, policy):
+        # a non-core point between two cores of one cluster, and border
+        # points that two clusters reach across the seam
+        x = np.array([-0.95, -0.9, 0.0, 0.5, 1.0, 1.9, 1.95])
+        assert_members_match_oracle(x, 1.0, 4, policy)
+        low = [0.0, 0.07, 0.09, 0.11, 0.11, 0.16, 0.16, 0.19]
+        high = [6.073, 6.073, 6.093, 6.093, 6.123, 6.133, 6.163, 6.183]
+        assert_members_match_oracle(np.array(low + high), 0.1, 5, policy, TWO_PI)
+
+    def test_seeded_fuzz(self):
+        for x, eps, period, mp, policy in fuzz_cases(600, seed=23):
+            assert_members_match_oracle(x, eps, mp, policy, period)
 
 
 @st.composite

@@ -61,6 +61,21 @@ class TestScan:
         with pytest.raises(ValueError, match="equal shapes"):
             Scan.from_xy(np.ones(3), np.ones(4))
 
+    def test_owns_read_only_arrays(self):
+        angles = np.array([0.0, 1.0, 2.0])
+        ranges = np.array([1.0, 2.0, 0.0])
+        valid = np.array([True, True, False])
+        scan = Scan(angles, ranges, valid)
+        before = {k: v.copy() for k, v in vars(scan).items() if isinstance(v, np.ndarray)}
+        assert set(before) == {"beam_angles", "ranges", "valid", "x", "y"}
+        angles[:] = 3.0
+        ranges[:] = -5.0
+        valid[:] = True
+        for name, array in before.items():
+            np.testing.assert_array_equal(getattr(scan, name), array)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(scan, name)[0] = 0
+
     @pytest.mark.parametrize("policy", list(BorderPolicy))
     def test_segmentation_leaves_scan_unchanged(self, policy):
         # the pipeline keeps its intermediates to itself: every array of

@@ -1,5 +1,6 @@
 """Two-stage scan segmentation: angle clustering then distance splitting."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -543,3 +544,58 @@ class TestStage2MatchesReference:
             CircularDomain(math.pi),
         )
         assert [c.size for c in stage1] == [3]
+
+
+# the acceptance square, and a non-convex room with an alcove, no two
+# walls on one line
+GOLDEN_ROOMS = (
+    np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]]),
+    np.array([[-4.0, -3.0], [4.0, -3.0], [4.0, 3.0], [1.0, 3.0],
+              [1.0, 5.0], [-1.0, 5.0], [-1.0, 2.5], [-4.0, 2.5]]),
+)
+# sha256 of golden_segmentation_text: a change to it is a change of what
+# angular_segmentation and fit_cluster_lines compute
+GOLDEN_SEGMENTATION = "359406f3b1a6f3ad15ba6d33c5259c9d13247cb44e721a5651e5e7dd3612c270"
+
+
+def golden_segmentation_text():
+    """Clusters and lines of 61 scans under every policy, as text.
+
+    60 seeded scans alternate between the two rooms, with noise, dropout
+    and three parameter sets.  The last scan sees a 36-gon from its
+    center, whose directions cover the half-circle evenly, so mean
+    directions fall back to the median member.  Ids, indices and fallback
+    flags are written exactly; mean_theta and the fitted d and theta pass
+    through numpy's trig functions, whose last bit depends on the SIMD
+    target, so they are written at ten significant digits.
+    """
+    rng = np.random.Generator(np.random.Philox(13))
+    param_sets = [(0.1, 0.2, 16), (0.05, 0.05, 3), (0.3, 0.1, 8)]
+    cases = []
+    for k in range(60):
+        sensor = (*rng.uniform(-0.5, 0.5, 2), rng.uniform(0.0, 2.0 * math.pi))
+        noise = NoiseModel(0.01, rng.choice([0.0, 0.05, 0.3]), int(rng.integers(2**63)))
+        scan, _ = generate_scan(RoomModel(GOLDEN_ROOMS[k % 2], sensor), 360, noise)
+        cases.append((scan, param_sets[k // 2 % 3]))
+    t = np.arange(36) * (2.0 * math.pi / 36)
+    polygon, _ = generate_scan(RoomModel(3.0 * np.column_stack((np.cos(t), np.sin(t)))), 360)
+    cases.append((polygon, param_sets[2]))
+    rows = []
+    for k, (scan, (eps_theta, eps_dist, min_points)) in enumerate(cases):
+        for policy in BorderPolicy:
+            params = SegmentationParams(eps_theta, eps_dist, min_points, policy)
+            rows.append(f"scan {k} {policy.value}")
+            for c in fit_cluster_lines(scan, angular_segmentation(scan, params)):
+                line = c.fitted_line
+                fit = f"{line.d:.9e} {line.theta:.9e}" if line else c.fit_error
+                rows.append(
+                    f"{c.id} {c.point_indices.tolist()} {c.mean_theta:.9e} "
+                    f"{c.mean_theta_fallback} {fit}"
+                )
+    return "\n".join(rows)
+
+
+def test_golden_segmentation():
+    text = golden_segmentation_text()
+    assert " True " in text
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SEGMENTATION
