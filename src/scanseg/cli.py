@@ -38,6 +38,7 @@ from .segmentation import SegmentationParams, angular_segmentation, fit_cluster_
 
 
 def _cmd_cluster(args) -> int:
+    tl = time.perf_counter_ns()
     values, file_period = load_points(args.input)
     period = args.circular_period if args.circular_period is not None else file_period
     params = DbscanParams(args.epsilon, args.min_points, BorderPolicy(args.border_policy))
@@ -56,11 +57,12 @@ def _cmd_cluster(args) -> int:
         _write_rows(out, "%r\t%d\n", values, original_labels)
         for c in clusters:
             out.write(f"# cluster id={c.id} lower={c.lower} upper={c.upper} size={c.size}\n")
-    print(f"sort_ns={t1 - t0} cluster_ns={t2 - t1}", file=sys.stderr)
+    print(f"load_ns={t0 - tl} sort_ns={t1 - t0} cluster_ns={t2 - t1}", file=sys.stderr)
     return 0
 
 
 def _cmd_segment(args) -> int:
+    tl = time.perf_counter_ns()
     scan = load_scan(args.input)
     params = SegmentationParams(args.eps_theta, args.eps_dist, args.min_points)
     t0 = time.perf_counter_ns()
@@ -79,7 +81,7 @@ def _cmd_segment(args) -> int:
         else:
             d, theta = float("nan"), float("nan")
         print(f"{c.id} {c.size} {float(c.mean_theta)!r} {d!r} {theta!r}")
-    print(f"segmentation_ns={t1 - t0} fitting_ns={t2 - t1}", file=sys.stderr)
+    print(f"load_ns={t0 - tl} segmentation_ns={t1 - t0} fitting_ns={t2 - t1}", file=sys.stderr)
     return 0
 
 

@@ -8,10 +8,19 @@ Two line-oriented text formats, both diff-able and full precision:
   ``# circular period=<real>`` comment declaring a circular domain.
 
 Both are ASCII: a line holding any other byte, or any other character
-read from a file object, raises ScanFormatError naming that line.
+read from a file object, raises ScanFormatError naming that line, and
+so does a line holding a line break other than "\n", "\r\n" or "\r".
 Floats are written with repr, which round-trips every finite double
 exactly, by one block row writer that the scanseg command uses for its
 label columns too.
+
+Files are read in blocks of whole lines of bounded size.  A block of
+plain lines (ASCII, one record or value per line, every line ended) is
+split once and each of its columns converted by one NumPy cast, which
+calls float() on each token and so gives the same bits.  Any other
+block (blank lines, comments after the leading ones, no final newline,
+an error) goes through the per-line parser, which accepts the same
+text and raises the same errors.
 
 The generator ray-casts beams from a sensor pose inside a simple polygon
 and perturbs ranges with seeded multiplicative Gaussian noise; the RNG
@@ -24,6 +33,7 @@ of the earlier one-beam-at-a-time cast.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from contextlib import contextmanager
@@ -89,41 +99,94 @@ def _parse_header(line: str) -> tuple[int, bool]:
 
 
 # line breaks of str.splitlines() other than "\n" and "\r"; str.split()
-# takes them for whitespace, so a record holding one is rejected by name
+# and str.strip() take them for whitespace, so a line holding one is
+# rejected by name
 _STRAY_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
+# characters per read (the f.readlines hint; about 1.7k scan records):
+# each column of a block converts with one NumPy cast, and no whole file
+# is held in memory
+_READ_BLOCK = 1 << 16
 
-def load_scan(source) -> Scan:
-    """Read a scan file; raises ScanFormatError with the offending line.
 
-    Lines end at "\n", "\r\n" or "\r", as a file opened by path reads.
+def _read_blocks(f):
+    """Whole lines of f in blocks of about _READ_BLOCK characters.
+
+    "\r\n" and a lone "\r" become "\n", as a file opened by path reads.
     """
-    with _maybe_open(source, "r") as f:
-        text = f.read()
-    if "\r" in text:  # only a file object passed in can still hold one
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    stray = any(c in text for c in _STRAY_BREAKS)
-    # float() and str.split() also take non-ASCII digits and spaces
-    ascii_only = text.isascii()
-    lines = text.split("\n")
-    del text  # not kept alive next to its lines while the records parse
+    after_cr = False
+    while block := "".join(f.readlines(_READ_BLOCK)):
+        if after_cr and block[0] == "\n":
+            block = block[1:]  # a reader ending lines at "\r" split a "\r\n"
+        after_cr = block.endswith("\r")
+        if "\r" in block:  # only a file object passed in can still hold one
+            block = block.replace("\r\n", "\n").replace("\r", "\n")
+        if block:
+            yield block
+
+
+def _lines(block: str) -> list[str]:
+    lines = block.split("\n")
     if lines[-1] == "":  # a final newline ends the last line
         lines.pop()
-    if not lines:
-        raise ScanFormatError("line 1: missing header")
-    beams, full_circle = _parse_header(lines[0])
-    records = lines[1:]
-    if len(records) != beams:
-        raise ScanFormatError(
-            f"header declares {beams} beams but file has {len(records)} records"
-        )
-    angles = np.empty(beams)
-    ranges = np.empty(beams)
-    valid = np.empty(beams, dtype=bool)
+    return lines
+
+
+def _line_count(block: str) -> int:
+    return block.count("\n") + (not block.endswith("\n"))
+
+
+def _tokens(block: str, width: int) -> list[str] | None:
+    """The block's tokens with a "|" after each line's, when the block is
+    ASCII, every line ends in "\n" and there are ``width + 1`` tokens per
+    line; None otherwise.
+
+    Sound only when the caller rejects "|" in each value column (float()
+    does, and so does the flag check): then the block's markers fill its
+    marker column, one slot per line, so every line holds exactly
+    ``width`` tokens.
+    """
+    lines = block.count("\n")
+    if not (block.endswith("\n") and block.isascii()) or any(c in block for c in _STRAY_BREAKS):
+        return None
+    tokens = block.replace("\n", " | ").split()
+    return tokens if len(tokens) == (width + 1) * lines else None
+
+
+def _scan_block(block: str):
+    """(angles, ranges, valid) of a block of well-formed records, or None."""
+    tokens = _tokens(block, 3)
+    if tokens is None:
+        return None
+    lines = len(tokens) // 4
+    flags = "".join(tokens[2::4])
+    if len(flags) != lines or flags.count("0") + flags.count("1") != lines:
+        return None
+    try:
+        # float() of each token, so the same text parses to the same bits
+        angles = np.array(tokens[0::4], np.float64)
+        ranges = np.array(tokens[1::4], np.float64)
+    except ValueError:
+        return None
+    valid = np.frombuffer(flags.encode(), np.uint8) == ord("1")
+    if not (np.isfinite(angles).all() and np.isfinite(ranges).all()):
+        return None
+    if (ranges[valid] < 0.0).any():
+        return None
+    return angles, ranges, valid
+
+
+def _scan_lines(block: str, lineno: int):
+    """(angles, ranges, valid) of a block that failed the block checks,
+    record by record from line ``lineno``; raises ScanFormatError naming
+    the first bad line."""
+    records = _lines(block)
+    angles = np.empty(len(records))
+    ranges = np.empty(len(records))
+    valid = np.empty(len(records), dtype=bool)
     for i, rec in enumerate(records):
-        lineno = i + 2
         parts = rec.split()
-        if len(parts) != 3 or stray and any(c in rec for c in _STRAY_BREAKS):
+        if len(parts) != 3 or any(c in rec for c in _STRAY_BREAKS):
             raise ScanFormatError(f"line {lineno}: expected 'angle range valid', got {rec!r}")
         try:
             a = float(parts[0])
@@ -137,38 +200,83 @@ def load_scan(source) -> Scan:
         v = parts[2] == "1"
         if v and r < 0.0:
             raise ScanFormatError(f"line {lineno}: negative range on a valid beam")
-        if not ascii_only and not rec.isascii():
+        # float() and str.split() also take non-ASCII digits and spaces
+        if not rec.isascii():
             raise ScanFormatError(f"line {lineno}: non-ASCII character in {rec!r}")
         angles[i] = a
         ranges[i] = r
         valid[i] = v
-    del lines, records  # freed before the scan copies its arrays
-    return Scan(angles, ranges, valid, full_circle)
+        lineno += 1
+    return angles, ranges, valid
 
 
-def load_points(source) -> tuple[np.ndarray, float | None]:
-    """Read a 1D point list; returns (values, period-or-None).
+def load_scan(source) -> Scan:
+    """Read a scan file; raises ScanFormatError with the offending line.
 
-    Blank lines and comments are skipped; a ``# circular period=<real>``
-    comment switches downstream clustering to the circular metric.
+    Lines end at "\n", "\r\n" or "\r", as a file opened by path reads.
+    A wrong record count is reported before any bad record.
     """
-    period = None
-    vals = []
+    parts = []
+    records = 0
+    error = None
     with _maybe_open(source, "r") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                if not raw.isascii():
-                    raise ScanFormatError(f"line {lineno}: non-ASCII character in comment")
-                m = re.match(r"#\s*circular\s+period=(\S+)$", line)
-                if m:
-                    try:
-                        period = float(m.group(1))
-                    except ValueError:
-                        raise ScanFormatError(f"line {lineno}: bad period") from None
-                    if not math.isfinite(period) or period <= 0.0:
-                        raise ScanFormatError(f"line {lineno}: period must be finite and > 0")
-                continue
+        blocks = _read_blocks(f)
+        first = next(blocks, None)
+        if first is None:
+            raise ScanFormatError("line 1: missing header")
+        header, _, first = first.partition("\n")
+        beams, full_circle = _parse_header(header)
+        for block in itertools.chain([first] if first else [], blocks):
+            if error is None:
+                try:
+                    parts.append(_scan_block(block) or _scan_lines(block, records + 2))
+                except ScanFormatError as e:
+                    error = e  # raised once the records are counted
+            records += _line_count(block)
+    if records != beams:
+        raise ScanFormatError(f"header declares {beams} beams but file has {records} records")
+    if error is not None:
+        raise error
+    columns = [np.concatenate(c) for c in zip(*parts)] if parts else [np.empty(0)] * 3
+    del parts  # freed before the scan copies its arrays
+    return Scan(*columns, full_circle)
+
+
+# leading comment lines of a point list, where its period comment sits
+_HEAD_COMMENTS = re.compile(r"(?:#.*\n)*")
+
+
+def _point_block(block: str):
+    """The values of a block of one finite number per line, or None."""
+    tokens = _tokens(block, 1)
+    if tokens is None:
+        return None
+    try:
+        values = np.array(tokens[0::2], np.float64)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _point_lines(block: str, lineno: int, period: float | None):
+    """(values, period) of a block that failed the block checks, line by
+    line from line ``lineno``; raises ScanFormatError naming the first bad
+    line.  ``period`` is the one declared by earlier lines."""
+    vals = []
+    for lineno, raw in enumerate(_lines(block), start=lineno):
+        line = raw.strip()
+        if line.startswith("#"):
+            if not raw.isascii():
+                raise ScanFormatError(f"line {lineno}: non-ASCII character in comment")
+            m = re.match(r"#\s*circular\s+period=(\S+)$", line)
+            if m:
+                try:
+                    period = float(m.group(1))
+                except ValueError:
+                    raise ScanFormatError(f"line {lineno}: bad period") from None
+                if not math.isfinite(period) or period <= 0.0:
+                    raise ScanFormatError(f"line {lineno}: period must be finite and > 0")
+        else:
             if line:
                 try:
                     v = float(line)
@@ -180,7 +288,33 @@ def load_points(source) -> tuple[np.ndarray, float | None]:
             # float() and strip() also take non-ASCII digits and spaces
             if not raw.isascii():
                 raise ScanFormatError(f"line {lineno}: non-ASCII character in {line!r}")
+        if any(c in raw for c in _STRAY_BREAKS):
+            raise ScanFormatError(f"line {lineno}: line break character in {raw!r}")
     return np.array(vals, dtype=np.float64), period
+
+
+def load_points(source) -> tuple[np.ndarray, float | None]:
+    """Read a 1D point list; returns (values, period-or-None).
+
+    Blank lines and comments are skipped; a ``# circular period=<real>``
+    comment switches downstream clustering to the circular metric.
+    Lines end as in load_scan.
+    """
+    period = None
+    parts = []
+    lineno = 1
+    with _maybe_open(source, "r") as f:
+        for block in _read_blocks(f):
+            head = _HEAD_COMMENTS.match(block).end()
+            values = _point_block(block[head:])
+            if values is None:
+                head = len(block)
+            head_values, period = _point_lines(block[:head], lineno, period)
+            parts.append(head_values)
+            if values is not None:
+                parts.append(values)
+            lineno += _line_count(block)
+    return (np.concatenate(parts) if parts else np.empty(0)), period
 
 
 def _orientation(ox, oy, ax, ay, bx, by) -> float:
@@ -327,8 +461,8 @@ def _cast_rays(
         for start in range(0, angles.size, _BEAM_BLOCK):
             rows = slice(start, start + _BEAM_BLOCK)
             block = angles[rows].tolist()
-            ux = np.array([math.cos(a) for a in block])[:, None]
-            uy = np.array([math.sin(a) for a in block])[:, None]
+            ux = np.fromiter(map(math.cos, block), np.float64, len(block))[:, None]
+            uy = np.fromiter(map(math.sin, block), np.float64, len(block))[:, None]
             denom = ux * ey - uy * ex
             t = t_num / denom
             s = (apx * uy - apy * ux) / denom

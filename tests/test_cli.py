@@ -33,7 +33,7 @@ class TestCluster:
             "# cluster id=1 lower=0 upper=2 size=3",
             "# cluster id=2 lower=3 upper=5 size=3",
         ]
-        assert "sort_ns=" in out.err and "cluster_ns=" in out.err
+        assert "load_ns=" in out.err and "sort_ns=" in out.err and "cluster_ns=" in out.err
 
     def test_unsorted_input_is_sorted_for_clustering(self, tmp_path, capsys):
         # labels come back in the file's own line order
@@ -223,7 +223,7 @@ class TestSegment:
             assert len(row) == 5
             assert int(row[1]) == 89
             assert float(row[3]) == pytest.approx(2.0, abs=1e-9)
-        assert "segmentation_ns=" in out.err and "fitting_ns=" in out.err
+        assert "load_ns=" in out.err and "segmentation_ns=" in out.err and "fitting_ns=" in out.err
         labels = np.loadtxt(label_path, dtype=np.int64)
         assert labels.size == 360
         assert set(np.unique(labels)) == {-1, 1, 2, 3, 4}

@@ -23,6 +23,7 @@ from scanseg import (
     load_scan,
     save_scan,
 )
+from scanseg import scan_io
 from scanseg.scan_io import _BEAM_BLOCK, _cast_rays, _vertex_hit
 
 TWO_PI = 2.0 * math.pi
@@ -248,6 +249,40 @@ class TestPointsFile:
             path.write_bytes(data)
         with pytest.raises(ScanFormatError, match=f"^{line}: "):
             load_points(path)
+
+    def test_stray_line_break_reports_its_line(self, tmp_path):
+        # strip() took these for whitespace at a line's ends, and comments
+        # were never checked, so this read as [1.0, 2.0]
+        with pytest.raises(ScanFormatError, match="^line 1: line break character"):
+            load_points(io.StringIO("1.0\x0c\n\x0b2.0\n# c\x1c\n"))
+        for brk in "\x0b\x0c\x1c\x1d\x1e":
+            for text, line in [
+                (f"1.0\n{brk}2.0\n", 2),
+                (f"1.0\n2.0{brk}\n", 2),
+                (f"1.0\n{brk}\n2.0\n", 2),
+                (f"# circular period=6.0{brk}\n1.0\n", 1),
+                (f"1.0\n# a{brk}b\n", 2),
+            ]:
+                path = tmp_path / "pts.txt"
+                path.write_text(text)
+                for source in (path, io.StringIO(text)):
+                    with pytest.raises(ScanFormatError, match=f"^line {line}: line break"):
+                        load_points(source)
+
+    def test_lone_carriage_returns_end_lines_from_any_source(self, tmp_path):
+        # a file object used to pass the joined line to float() whole
+        text = "# circular period=6.0\r1.5\r\r2.5\r\n3.5\r"
+        path = tmp_path / "pts.txt"
+        path.write_bytes(text.encode())
+        by_path = load_points(path)
+        assert by_path[0].tolist() == [1.5, 2.5, 3.5] and by_path[1] == 6.0
+        with open(path, newline="") as f:
+            from_file = load_points(f)
+        from_string = load_points(io.StringIO(text))
+        for values, period in (from_file, from_string):
+            assert values.tobytes() == by_path[0].tobytes() and period == by_path[1]
+        with pytest.raises(ScanFormatError, match="^line 3: not a number"):
+            load_points(io.StringIO("1.5\r2.5\rx\r"))
 
 
 class TestRoomModel:
@@ -488,3 +523,335 @@ def test_generate_peak_memory_bounded_by_block():
     finally:
         tracemalloc.stop()
     assert peak <= 9_000_000
+
+
+# Block parsing.  A block takes the NumPy path only when it passes the
+# block checks; every other block goes line by line.  The reference is
+# the same loader with the block path switched off, so every block goes
+# line by line: results and errors must not depend on the block size or
+# on how the source was opened.
+
+# tokens NumPy must parse as float() does, or refuse as it does: the block
+# parser relies on this, so a NumPy release that changes it fails here
+PARSE_CASES = [
+    "1_0", "infinity", "inF", "nan", "1e400", "1e-400", "4.9e-324", "-0.0",
+    "+.5", "0x1p3", ".", "1e", "1.7976931348623159e308", "1" * 40 + ".5",
+    "1\x00", "", "|", "-", "1e+", "_1", "1__0", "2.5e-08",
+]
+
+
+def parse_bits(token):
+    """(numpy's bits or ValueError, float()'s bits or ValueError)."""
+    out = []
+    for parse in (lambda t: np.array([t], np.float64)[0], float):
+        try:
+            out.append(np.float64(parse(token)).tobytes())
+        except ValueError:
+            out.append(ValueError)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("token", PARSE_CASES)
+def test_numpy_parses_text_as_float_does(token):
+    numpy_bits, float_bits = parse_bits(token)
+    assert numpy_bits == float_bits
+
+
+ASCII_TOKENS = st.one_of(
+    st.text(st.characters(codec="ascii"), max_size=12),
+    st.from_regex(r"[+-]?[0-9_]*\.?[0-9_]*([eE][+-]?[0-9]{0,4})?", fullmatch=True),
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map(lambda v: f"{v:.25e}"),
+)
+
+
+@settings(max_examples=60)
+@given(st.lists(ASCII_TOKENS, min_size=1, max_size=8))
+def test_numpy_parses_any_ascii_token_as_float_does(tokens):
+    for token in tokens:
+        numpy_bits, float_bits = parse_bits(token)
+        assert numpy_bits == float_bits
+    # a whole column at once, as the block parser casts it
+    column, each = [], []
+    for out, parse in ((column, lambda: np.array(tokens, np.float64)),
+                       (each, lambda: np.array([float(t) for t in tokens]))):
+        try:
+            out.append(parse().tobytes())
+        except ValueError:
+            out.append(ValueError)
+    assert column == each
+
+
+def outcome(load, source):
+    """What a load gives: the bytes of its arrays, or its error."""
+    try:
+        result = load(source)
+    except ScanFormatError as e:
+        return "error", str(e)
+    if isinstance(result, Scan):
+        arrays = (result.beam_angles, result.ranges, result.valid)
+        return tuple(a.tobytes() for a in arrays), result.full_circle
+    values, period = result
+    assert values.dtype == np.float64 and values.ndim == 1
+    return values.tobytes(), period
+
+
+def outcomes(load, path, text):
+    """Outcomes from a StringIO and, when the text encodes, by path and
+    through open() in three newline modes."""
+    out = [outcome(load, io.StringIO(text))]
+    if path is not None:
+        out.append(outcome(load, path))
+        for newline in (None, "", "\r"):
+            with open(path, encoding="ascii", errors="surrogateescape", newline=newline) as f:
+                out.append(outcome(load, f))
+    return out
+
+
+# a read hint of a few lines, so that small files span many blocks
+SMALL_BLOCK = 50
+
+
+def assert_same_in_any_blocks(monkeypatch, tmp_path, load, text, sizes=(1, SMALL_BLOCK, None)):
+    """The outcome of every source at every block size is the per-line one.
+
+    A non-ASCII byte read by path decodes to a lone surrogate, so a text
+    holding other non-ASCII characters is read from a StringIO only.
+    """
+    path = tmp_path / "input.txt"
+    try:
+        path.write_bytes(text.encode("ascii", "surrogateescape"))
+    except UnicodeEncodeError:
+        path = None
+    with monkeypatch.context() as m:
+        m.setattr(scan_io, "_scan_block", lambda block: None)
+        m.setattr(scan_io, "_point_block", lambda block: None)
+        expected = outcome(load, io.StringIO(text))
+    for size in sizes:
+        with monkeypatch.context() as m:
+            if size is not None:
+                m.setattr(scan_io, "_READ_BLOCK", size)
+            got = outcomes(load, path, text)
+        assert got == [expected] * len(got)
+    return expected
+
+
+def scan_text(beams, seed=0):
+    scan, _ = generate_scan(square_room(), beams, NoiseModel(0.01, 0.2, seed))
+    buf = io.StringIO()
+    save_scan(scan, buf)
+    return buf.getvalue()
+
+
+def points_text(n, seed=0, period=True):
+    values = np.random.default_rng(seed).uniform(0.0, TWO_PI, n)
+    head = f"# circular period={TWO_PI!r}\n" if period else ""
+    return head + "".join(f"{v!r}\n" for v in values.tolist())
+
+
+def block_starts(text):
+    """Line numbers that open a block of SMALL_BLOCK-character reads."""
+    lines = text.splitlines(keepends=True)
+    starts, lineno = [], 1
+    f = io.StringIO(text)
+    while block := f.readlines(SMALL_BLOCK):
+        starts.append(lineno)
+        lineno += len(block)
+    assert lineno == len(lines) + 1
+    return starts
+
+
+def corrupt(text, lineno, bad):
+    lines = text.split("\n")
+    lines[lineno - 1] = bad(lines[lineno - 1])
+    return "\n".join(lines)
+
+
+SCAN = scan_text(40)
+POINTS = points_text(60)
+
+HEAD, RECORDS = SCAN.split("\n", 1)
+
+VALID_SCANS = [
+    SCAN,
+    HEAD + "\n" + RECORDS.replace(" ", "\t"),
+    HEAD + "\n" + RECORDS.replace(" ", "   "),
+    HEAD + "\n " + RECORDS.replace("\n", " \n"),
+    SCAN.rstrip("\n"),
+    SCAN.replace("\n", "\r\n"),
+    SCAN.replace("\n", "\r"),
+    "beams=0 full_circle=1\n",
+    "beams=0 full_circle=0",
+    "beams=1 full_circle=0\n1_0 +.5 1\n",
+    "beams=2 full_circle=1\n1e-400 -0.0 1\n-1.5 -2.0 0\n",
+]
+
+VALID_POINTS = [
+    POINTS,
+    points_text(60, period=False),
+    POINTS.replace("\n", "\n\n"),
+    POINTS.replace("\n", " \t\n  "),
+    POINTS.rstrip("\n"),
+    POINTS.replace("\n", "\r\n"),
+    POINTS.replace("\n", "\r"),
+    corrupt(POINTS, 30, lambda line: "# a comment\n" + line),
+    corrupt(POINTS, 45, lambda line: f"# circular period=3.0\n{line}"),
+    "# only a comment\n",
+    "",
+    "\n\n",
+    "1_0\n+.5\n1e-400\n-0.0\n",
+]
+
+
+@pytest.mark.parametrize("text", VALID_SCANS, ids=range(len(VALID_SCANS)))
+def test_valid_scans_parse_as_line_by_line(monkeypatch, tmp_path, text):
+    arrays, _ = assert_same_in_any_blocks(monkeypatch, tmp_path, load_scan, text)
+    assert len(arrays[0]) == 8 * int(text.split()[0][6:])
+
+
+@pytest.mark.parametrize("text", VALID_POINTS, ids=range(len(VALID_POINTS)))
+def test_valid_point_lists_parse_as_line_by_line(monkeypatch, tmp_path, text):
+    values, _ = assert_same_in_any_blocks(monkeypatch, tmp_path, load_points, text)
+    assert values != "error"
+
+
+def scan_corruptions():
+    """Seeded corruptions of SCAN in the first block, on both sides of a
+    block boundary and in the last block, plus whole-file cases."""
+    rng = np.random.default_rng(14)
+    bad = [
+        lambda r: r.replace(" ", " x", 1),
+        lambda r: r[:-1] + "2",
+        lambda r: r.rsplit(" ", 1)[0],
+        lambda r: r + " 1",
+        lambda r: "nan " + r.split(" ", 1)[1],
+        lambda r: r.split(" ")[0] + " -1.5 1",
+        lambda r: r.replace(" ", "\x0c", 1),
+        lambda r: r.replace(" ", " \udce9", 1),
+        lambda r: "١" + r[1:],
+        lambda r: "",
+        lambda r: r.replace(" ", "|", 1),
+        lambda r: r + " |",
+    ]
+    starts = block_starts(SCAN)
+    lines = [3, starts[4] - 1, starts[4], SCAN.count("\n")]
+    for lineno in lines:
+        for k in rng.permutation(len(bad))[:6].tolist():
+            yield corrupt(SCAN, lineno, bad[k])
+    last = SCAN.count("\n")
+    yield SCAN[: SCAN.rindex(" ")]  # truncated final record
+    yield SCAN + "\n"  # a trailing blank line is a record
+    yield corrupt(SCAN, 12, lambda r: r + " 1") + "0.1 1.0 1\n"  # the count wins
+    yield corrupt(SCAN, last, lambda r: "x").replace("beams=40", "beams=41")
+    yield corrupt(SCAN, 1, lambda r: "beams=40 full_circle=2")
+    yield SCAN.replace("\n", "\n\n", 1)
+    yield SCAN.replace("beams=40", "beams=41") + "  "  # a last record of spaces
+    # two records on one line, joined by a token where a marker would go
+    yield corrupt(SCAN, 7, lambda r: r + " 5 " + r).replace("beams=40", "beams=41")
+
+
+def point_corruptions():
+    rng = np.random.default_rng(41)
+    bad = [
+        lambda v: v + "x",
+        lambda v: v + " 1",
+        lambda v: "inf",
+        lambda v: "-nan",
+        lambda v: v + "\x0b",
+        lambda v: "\x1e" + v,
+        lambda v: v + "\udce9",
+        lambda v: "١" + v[1:],
+        lambda v: "|",
+        lambda v: v + " |",
+        lambda v: "# circular period=x",
+        lambda v: "# circular period=0",
+    ]
+    starts = block_starts(POINTS)
+    for lineno in [2, starts[5] - 1, starts[5], POINTS.count("\n")]:
+        for k in rng.permutation(len(bad))[:6].tolist():
+            yield corrupt(POINTS, lineno, bad[k])
+    yield POINTS[:-3] + " x"  # truncated final value
+    yield corrupt(POINTS, 33, lambda v: v + " 1\n")  # two values, then a blank line
+    yield corrupt(POINTS, 33, lambda v: v + " x " + v)  # two values and a token between
+    yield corrupt(POINTS, 20, lambda v: v + "x").replace("\n", "\r", 10)
+
+
+SCAN_ERRORS = list(scan_corruptions())
+POINT_ERRORS = list(point_corruptions())
+
+
+@pytest.mark.parametrize("text", SCAN_ERRORS, ids=range(len(SCAN_ERRORS)))
+def test_scan_errors_do_not_depend_on_blocks(monkeypatch, tmp_path, text):
+    kind, _ = assert_same_in_any_blocks(monkeypatch, tmp_path, load_scan, text)
+    assert kind == "error"
+
+
+@pytest.mark.parametrize("text", POINT_ERRORS, ids=range(len(POINT_ERRORS)))
+def test_point_errors_do_not_depend_on_blocks(monkeypatch, tmp_path, text):
+    kind, _ = assert_same_in_any_blocks(monkeypatch, tmp_path, load_points, text)
+    assert kind == "error"
+
+
+def test_plain_files_take_the_block_path(monkeypatch, tmp_path):
+    # only a point list's leading comments go line by line
+    seen = []
+    for name in ("_scan_lines", "_point_lines"):
+        per_line = getattr(scan_io, name)
+        monkeypatch.setattr(
+            scan_io, name, lambda block, *a, f=per_line: seen.append(block) or f(block, *a)
+        )
+    monkeypatch.setattr(scan_io, "_READ_BLOCK", SMALL_BLOCK)
+    path = tmp_path / "input.txt"
+    for load, text in ((load_scan, SCAN), (load_points, POINTS)):
+        path.write_text(text)
+        load(path)
+    assert [b for b in seen if b] == [POINTS.split("\n")[0] + "\n"]
+
+
+def test_record_count_is_reported_before_a_bad_record():
+    bad = corrupt(SCAN, 3, lambda r: "x")
+    for text in (bad + "0.0 1.0 1\n", bad.rsplit("\n", 2)[0] + "\n"):
+        with pytest.raises(ScanFormatError, match="^header declares 40 beams but file has"):
+            load_scan(io.StringIO(text))
+    with pytest.raises(ScanFormatError, match="^line 3: expected"):
+        load_scan(io.StringIO(bad))
+
+
+@pytest.fixture(scope="module")
+def large_files(tmp_path_factory):
+    """A 1e5-beam scan and a 2e5-value point list, many blocks each."""
+    d = tmp_path_factory.mktemp("large")
+    scan, _ = generate_scan(RoomModel(ROOM8), 100_000, NoiseModel(1e-6, 0.02, 5))
+    save_scan(scan, d / "scan.txt")
+    (d / "points.txt").write_text(points_text(200_000, seed=3))
+    return d / "scan.txt", d / "points.txt"
+
+
+def test_large_scan_parses_as_line_by_line(monkeypatch, large_files):
+    scan_path = large_files[0]
+    got = outcome(load_scan, scan_path)
+    with monkeypatch.context() as m:
+        m.setattr(scan_io, "_scan_block", lambda block: None)
+        assert got == outcome(load_scan, scan_path)
+    # a bad record in the last block, with the right record count
+    text = scan_path.read_text()
+    cut = text.rindex("\n", 0, -1) + 1
+    with pytest.raises(ScanFormatError, match="^line 100001: bad number in 'x 1.0 1'"):
+        load_scan(io.StringIO(text[:cut] + "x 1.0 1\n"))
+
+
+@pytest.mark.parametrize("which, bound", [(0, 6_000_000), (1, 4_000_000)])
+def test_parse_peak_allocation_stays_bounded(large_files, which, bound):
+    """The parse holds one block of text at a time.  Reading whole files,
+    the 1e5-beam scan peaked at 12.7 MB and the 2e5-value list at 7.6 MB;
+    the scan's own five arrays take 4.1 MB and the list's values 1.6 MB."""
+    load = (load_scan, load_points)[which]
+    path = large_files[which]
+    load(path)
+    tracemalloc.start()
+    try:
+        load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
