@@ -57,7 +57,11 @@ def _cmd_cluster(args) -> int:
         _write_rows(out, "%r\t%d\n", values, original_labels)
         for c in clusters:
             out.write(f"# cluster id={c.id} lower={c.lower} upper={c.upper} size={c.size}\n")
-    print(f"load_ns={t0 - tl} sort_ns={t1 - t0} cluster_ns={t2 - t1}", file=sys.stderr)
+    t3 = time.perf_counter_ns()
+    print(
+        f"load_ns={t0 - tl} sort_ns={t1 - t0} cluster_ns={t2 - t1} write_ns={t3 - t2}",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -75,13 +79,17 @@ def _cmd_segment(args) -> int:
         labels[c.point_indices] = c.id
     with _maybe_open(args.output, "w") as out:
         _write_rows(out, "%d\n", labels)
+    t3 = time.perf_counter_ns()
     for c in clusters:
         if c.fitted_line is not None:
             d, theta = float(c.fitted_line.d), float(c.fitted_line.theta)
         else:
             d, theta = float("nan"), float("nan")
         print(f"{c.id} {c.size} {float(c.mean_theta)!r} {d!r} {theta!r}")
-    print(f"load_ns={t0 - tl} segmentation_ns={t1 - t0} fitting_ns={t2 - t1}", file=sys.stderr)
+    print(
+        f"load_ns={t0 - tl} segmentation_ns={t1 - t0} fitting_ns={t2 - t1} write_ns={t3 - t2}",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -106,8 +114,11 @@ def _parse_room(text: str) -> RoomModel:
 def _cmd_generate(args) -> int:
     room = _parse_room(args.room)
     noise = NoiseModel(args.noise_sigma, args.dropout, args.seed)
+    t0 = time.perf_counter_ns()
     scan, _ = generate_scan(room, args.beams, noise)
+    t1 = time.perf_counter_ns()
     save_scan(scan, args.output or sys.stdout)
+    print(f"generate_ns={t1 - t0} write_ns={time.perf_counter_ns() - t1}", file=sys.stderr)
     return 0
 
 

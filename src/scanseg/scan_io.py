@@ -10,14 +10,16 @@ Two line-oriented text formats, both diff-able and full precision:
 Both are ASCII: a line holding any other byte, or any other character
 read from a file object, raises ScanFormatError naming that line, and
 so does a line holding a line break other than "\n", "\r\n" or "\r".
-Floats are written with repr, which round-trips every finite double
-exactly, by one block row writer that the scanseg command uses for its
-label columns too.
+Floats are written as repr writes them, which round-trips every finite
+double exactly, by one block row writer that the scanseg command uses
+for its label columns too: a vectorized shortest round-trip kernel
+(Ryu, in scanseg._text) formats each block of rows as one byte matrix.
 
-Files are read in blocks of whole lines of bounded size.  A block of
-plain lines (ASCII, one record or value per line, every line ended) is
-split once and each of its columns converted by one NumPy cast, which
-calls float() on each token and so gives the same bits.  Any other
+Files are read in blocks of whole lines of bounded size, each a
+fixed-size read plus the rest of the line it ends in.  A block of plain
+lines (ASCII, one record or value per line, every line ended) is split
+once and each of its columns converted by one NumPy cast, which calls
+float() on each token and so gives the same bits.  Any other
 block (blank lines, comments after the leading ones, no final newline,
 an error) goes through the per-line parser, which accepts the same
 text and raises the same errors.
@@ -41,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import rows
 from .geometry import TWO_PI
 from .scan import Scan
 
@@ -63,25 +66,20 @@ def _maybe_open(source, mode: str):
         yield source
 
 
-# rows formatted per write: one join per block keeps the per-row cost low
-# without building a whole output file in memory
-_WRITE_BLOCK = 8192
+# rows formatted per write: one byte matrix per block keeps the per-row
+# cost low without building a whole output file in memory
+_WRITE_BLOCK = 4096
 
 
 def _write_rows(f, line: str, *columns) -> None:
     """Write ``line % row`` for each row of the equal-length columns.
 
-    A block is formatted by one ``%`` of the line repeated once per row
-    over the block's values, row by row.
+    ``line`` holds ``%r`` for each float column and ``%d`` for each
+    integer or bool column; a block of rows is formatted at once by
+    :func:`scanseg._text.rows`, with the same text as ``%``.
     """
-    width = len(columns)
     for start in range(0, len(columns[0]), _WRITE_BLOCK):
-        block = [c[start : start + _WRITE_BLOCK].tolist() for c in columns]
-        rows = len(block[0])
-        values = [None] * (width * rows)
-        for i, column in enumerate(block):
-            values[i::width] = column
-        f.write(line * rows % tuple(values))
+        f.write(rows(line, [c[start : start + _WRITE_BLOCK] for c in columns]))
 
 
 def save_scan(scan: Scan, sink) -> None:
@@ -103,26 +101,35 @@ def _parse_header(line: str) -> tuple[int, bool]:
 # rejected by name
 _STRAY_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
-# characters per read (the f.readlines hint; about 1.7k scan records):
-# each column of a block converts with one NumPy cast, and no whole file
-# is held in memory
+# characters per read (about 1.7k scan records): each column of a block
+# converts with one NumPy cast, and no whole file is held in memory
 _READ_BLOCK = 1 << 16
 
 
 def _read_blocks(f):
     """Whole lines of f in blocks of about _READ_BLOCK characters.
 
-    "\r\n" and a lone "\r" become "\n", as a file opened by path reads.
+    Each read's text up to its last line end goes out with the line
+    carried from earlier reads; the rest is carried on.  "\r\n" and a
+    lone "\r" become "\n", as a file opened by path reads, so a "\r"
+    that ends a read waits for the next.
     """
-    after_cr = False
-    while block := "".join(f.readlines(_READ_BLOCK)):
-        if after_cr and block[0] == "\n":
-            block = block[1:]  # a reader ending lines at "\r" split a "\r\n"
-        after_cr = block.endswith("\r")
-        if "\r" in block:  # only a file object passed in can still hold one
-            block = block.replace("\r\n", "\n").replace("\r", "\n")
-        if block:
-            yield block
+    carried = []  # the start of a line no read has ended yet
+    cr = ""
+    while chunk := f.read(_READ_BLOCK):
+        chunk = cr + chunk
+        cr = "\r" if chunk[-1] == "\r" else ""  # maybe half of a "\r\n"
+        chunk = chunk[: len(chunk) - len(cr)]
+        if "\r" in chunk:  # only a file object passed in can still hold one
+            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+        end = chunk.rfind("\n") + 1
+        if end:
+            yield "".join(carried) + chunk[:end]
+            carried = []
+        carried.append(chunk[end:])
+    block = "".join(carried) + ("\n" if cr else "")
+    if block:
+        yield block
 
 
 def _lines(block: str) -> list[str]:

@@ -34,6 +34,7 @@ class TestCluster:
             "# cluster id=2 lower=3 upper=5 size=3",
         ]
         assert "load_ns=" in out.err and "sort_ns=" in out.err and "cluster_ns=" in out.err
+        assert "write_ns=" in out.err
 
     def test_unsorted_input_is_sorted_for_clustering(self, tmp_path, capsys):
         # labels come back in the file's own line order
@@ -224,6 +225,7 @@ class TestSegment:
             assert int(row[1]) == 89
             assert float(row[3]) == pytest.approx(2.0, abs=1e-9)
         assert "load_ns=" in out.err and "segmentation_ns=" in out.err and "fitting_ns=" in out.err
+        assert "write_ns=" in out.err
         labels = np.loadtxt(label_path, dtype=np.int64)
         assert labels.size == 360
         assert set(np.unique(labels)) == {-1, 1, 2, 3, 4}
@@ -301,7 +303,9 @@ class TestSegment:
 class TestGenerate:
     def test_stdout_scan(self, capsys):
         assert main(["generate", "--room", "square:1", "--beams", "4"]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        out = capsys.readouterr()
+        assert "generate_ns=" in out.err and "write_ns=" in out.err
+        lines = out.out.splitlines()
         assert lines[0] == "beams=4 full_circle=1"
         ranges = [float(line.split()[1]) for line in lines[1:]]
         assert ranges == [0.5, 0.5, 0.5, 0.5]
