@@ -1,11 +1,12 @@
 """Brute-force reference implementations.
 
-Everything here is deliberately slow and simple: quadratic pairwise
-neighborhoods, set-based reachability closures, and an eigendecomposition
-route to the total least squares line.  None of it shares code with the
-linear-time sweep in :mod:`scanseg.dbscan1d` or the closed-form fit in
-:mod:`scanseg.geometry`, which is the point: the two routes must agree on
-the same inputs, and the tests hold them to that.
+Everything here is simple and definitional: quadratic pairwise
+neighborhoods (each one row of distances to all values), set-based
+reachability closures, and an eigendecomposition route to the total
+least squares line.  None of it shares code with the linear-time sweep
+in :mod:`scanseg.dbscan1d` or the closed-form fit in
+:mod:`scanseg.geometry`, which is the point: the two routes must agree
+on the same inputs, and the tests hold them to that.
 
 Distances follow the same closed comparison (<= epsilon) and, in the
 circular case, the same ``min(d, period - d)`` evaluation as the fast
@@ -31,16 +32,12 @@ NOT_VISITED = 0
 
 
 def naive_neighborhood(values, index: int, epsilon: float, period: float | None = None):
-    """Indices within epsilon of ``values[index]``, by pairwise checks."""
+    """Indices within epsilon of ``values[index]``, by pairwise distances."""
     x = np.ascontiguousarray(values, dtype=np.float64)
-    out = []
-    for j in range(x.size):
-        d = abs(x[index] - x[j])
-        if period is not None:
-            d = min(d, period - d)
-        if d <= epsilon:
-            out.append(j)
-    return np.array(out, dtype=np.int64)
+    d = np.abs(x[index] - x)
+    if period is not None:
+        d = np.minimum(d, period - d)
+    return np.flatnonzero(d <= epsilon)
 
 
 def _closure(nbrs, seed: int, min_points: int):

@@ -16,13 +16,17 @@ for its label columns too: a vectorized shortest round-trip kernel
 (Ryu, in scanseg._text) formats each block of rows as one byte matrix.
 
 Files are read in blocks of whole lines of bounded size, each a
-fixed-size read plus the rest of the line it ends in.  A block of plain
-lines (ASCII, one record or value per line, every line ended) is split
+fixed-size read plus the rest of the line it ends in, and each ending in
+"\n".  A block of scan records has one accepting parser: it is split
 once and each of its columns converted by one NumPy cast, which calls
-float() on each token and so gives the same bits.  Any other
-block (blank lines, comments after the leading ones, no final newline,
-an error) goes through the per-line parser, which accepts the same
-text and raises the same errors.
+float() on each token and so gives the same bits.  A block it refuses
+holds a bad record, and a per-record loop only names the first one and
+its line.  A block of a point list casts its lines at once, float()
+taking the spaces around each number.  A block with blank lines or with
+comments after its leading ones goes line by line, as does one the cast
+refuses: the per-line parser also accepts text (str.strip() takes a
+"\x1f" at a line's end, which float() refuses) and names the first bad
+line.
 
 The generator ray-casts beams from a sensor pose inside a simple polygon
 and perturbs ranges with seeded multiplicative Gaussian noise; the RNG
@@ -107,12 +111,14 @@ _READ_BLOCK = 1 << 16
 
 
 def _read_blocks(f):
-    """Whole lines of f in blocks of about _READ_BLOCK characters.
+    """Whole lines of f in blocks of about _READ_BLOCK characters, each
+    ending in "\n".
 
     Each read's text up to its last line end goes out with the line
     carried from earlier reads; the rest is carried on.  "\r\n" and a
     lone "\r" become "\n", as a file opened by path reads, so a "\r"
-    that ends a read waits for the next.
+    that ends a read waits for the next.  A last line with no line end
+    gets a "\n".
     """
     carried = []  # the start of a line no read has ended yet
     cr = ""
@@ -127,45 +133,30 @@ def _read_blocks(f):
             yield "".join(carried) + chunk[:end]
             carried = []
         carried.append(chunk[end:])
-    block = "".join(carried) + ("\n" if cr else "")
-    if block:
-        yield block
+    last = "".join(carried)
+    if last or cr:
+        yield last + "\n"
 
 
 def _lines(block: str) -> list[str]:
-    lines = block.split("\n")
-    if lines[-1] == "":  # a final newline ends the last line
-        lines.pop()
-    return lines
-
-
-def _line_count(block: str) -> int:
-    return block.count("\n") + (not block.endswith("\n"))
-
-
-def _tokens(block: str, width: int) -> list[str] | None:
-    """The block's tokens with a "|" after each line's, when the block is
-    ASCII, every line ends in "\n" and there are ``width + 1`` tokens per
-    line; None otherwise.
-
-    Sound only when the caller rejects "|" in each value column (float()
-    does, and so does the flag check): then the block's markers fill its
-    marker column, one slot per line, so every line holds exactly
-    ``width`` tokens.
-    """
-    lines = block.count("\n")
-    if not (block.endswith("\n") and block.isascii()) or any(c in block for c in _STRAY_BREAKS):
-        return None
-    tokens = block.replace("\n", " | ").split()
-    return tokens if len(tokens) == (width + 1) * lines else None
+    return block.split("\n")[:-1]
 
 
 def _scan_block(block: str):
-    """(angles, ranges, valid) of a block of well-formed records, or None."""
-    tokens = _tokens(block, 3)
-    if tokens is None:
+    """(angles, ranges, valid) of a block of well-formed records, or None.
+
+    The block is split once, with a "|" marker after each line's tokens.
+    That is sound because float() and the flag check reject "|" in each
+    value column: so when there are four tokens per line, the markers
+    fill the marker column, one slot per line, and every line holds
+    exactly three tokens.
+    """
+    if not block.isascii() or any(c in block for c in _STRAY_BREAKS):
         return None
-    lines = len(tokens) // 4
+    lines = block.count("\n")
+    tokens = block.replace("\n", " | ").split()
+    if len(tokens) != 4 * lines:
+        return None
     flags = "".join(tokens[2::4])
     if len(flags) != lines or flags.count("0") + flags.count("1") != lines:
         return None
@@ -183,38 +174,28 @@ def _scan_block(block: str):
     return angles, ranges, valid
 
 
-def _scan_lines(block: str, lineno: int):
-    """(angles, ranges, valid) of a block that failed the block checks,
-    record by record from line ``lineno``; raises ScanFormatError naming
-    the first bad line."""
-    records = _lines(block)
-    angles = np.empty(len(records))
-    ranges = np.empty(len(records))
-    valid = np.empty(len(records), dtype=bool)
-    for i, rec in enumerate(records):
+def _scan_error(block: str, lineno: int) -> ScanFormatError:
+    """The error of the first bad record of a block that _scan_block
+    refused, counting lines from ``lineno``."""
+    for lineno, rec in enumerate(_lines(block), start=lineno):
         parts = rec.split()
         if len(parts) != 3 or any(c in rec for c in _STRAY_BREAKS):
-            raise ScanFormatError(f"line {lineno}: expected 'angle range valid', got {rec!r}")
+            return ScanFormatError(f"line {lineno}: expected 'angle range valid', got {rec!r}")
         try:
             a = float(parts[0])
             r = float(parts[1])
         except ValueError:
-            raise ScanFormatError(f"line {lineno}: bad number in {rec!r}") from None
+            return ScanFormatError(f"line {lineno}: bad number in {rec!r}")
         if not (math.isfinite(a) and math.isfinite(r)):
-            raise ScanFormatError(f"line {lineno}: non-finite value")
+            return ScanFormatError(f"line {lineno}: non-finite value")
         if parts[2] not in ("0", "1"):
-            raise ScanFormatError(f"line {lineno}: valid flag must be 0 or 1, got {parts[2]!r}")
-        v = parts[2] == "1"
-        if v and r < 0.0:
-            raise ScanFormatError(f"line {lineno}: negative range on a valid beam")
+            return ScanFormatError(f"line {lineno}: valid flag must be 0 or 1, got {parts[2]!r}")
+        if parts[2] == "1" and r < 0.0:
+            return ScanFormatError(f"line {lineno}: negative range on a valid beam")
         # float() and str.split() also take non-ASCII digits and spaces
         if not rec.isascii():
-            raise ScanFormatError(f"line {lineno}: non-ASCII character in {rec!r}")
-        angles[i] = a
-        ranges[i] = r
-        valid[i] = v
-        lineno += 1
-    return angles, ranges, valid
+            return ScanFormatError(f"line {lineno}: non-ASCII character in {rec!r}")
+    raise AssertionError("_scan_block refused a block of well-formed records")
 
 
 def load_scan(source) -> Scan:
@@ -235,11 +216,12 @@ def load_scan(source) -> Scan:
         beams, full_circle = _parse_header(header)
         for block in itertools.chain([first] if first else [], blocks):
             if error is None:
-                try:
-                    parts.append(_scan_block(block) or _scan_lines(block, records + 2))
-                except ScanFormatError as e:
-                    error = e  # raised once the records are counted
-            records += _line_count(block)
+                columns = _scan_block(block)
+                if columns is None:  # raised once the records are counted
+                    error = _scan_error(block, records + 2)
+                else:
+                    parts.append(columns)
+            records += block.count("\n")
     if records != beams:
         raise ScanFormatError(f"header declares {beams} beams but file has {records} records")
     if error is not None:
@@ -255,11 +237,11 @@ _HEAD_COMMENTS = re.compile(r"(?:#.*\n)*")
 
 def _point_block(block: str):
     """The values of a block of one finite number per line, or None."""
-    tokens = _tokens(block, 1)
-    if tokens is None:
+    if not block.isascii() or any(c in block for c in _STRAY_BREAKS):
         return None
     try:
-        values = np.array(tokens[0::2], np.float64)
+        # float() of each line, which takes the spaces around its number
+        values = np.array(_lines(block), np.float64)
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
@@ -320,7 +302,7 @@ def load_points(source) -> tuple[np.ndarray, float | None]:
             parts.append(head_values)
             if values is not None:
                 parts.append(values)
-            lineno += _line_count(block)
+            lineno += block.count("\n")
     return (np.concatenate(parts) if parts else np.empty(0)), period
 
 

@@ -44,6 +44,44 @@ def test_neighborhood_circular_uses_ring_distance():
     assert got.tolist() == [0, 2]
 
 
+def scalar_neighborhood(x, index, epsilon, period=None):
+    """The earlier pairwise loop, one float expression per pair."""
+    out = []
+    for j in range(x.size):
+        d = abs(x[index] - x[j])
+        if period is not None:
+            d = min(d, period - d)
+        if d <= epsilon:
+            out.append(j)
+    return out
+
+
+@st.composite
+def neighborhood_inputs(draw):
+    """(values, epsilon, period) on a grid of ``unit`` steps, one ulp off
+    here and there: gaps of exactly epsilon, ties by an ulp, duplicates,
+    and on a ring of whole units, pairs exactly epsilon apart across the
+    seam.  A unit of 0.1 makes the grid inexact."""
+    unit = draw(st.sampled_from([1.0, 0.125, 0.1]))
+    steps = draw(st.lists(st.integers(0, 12), min_size=1, max_size=30))
+    ulps = draw(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=len(steps), max_size=len(steps)))
+    x = np.array(steps) * unit
+    x = np.where(np.array(ulps) < 0, np.nextafter(x, -np.inf), x)
+    x = np.where(np.array(ulps) > 0, np.nextafter(x, np.inf), x)
+    epsilon = draw(st.integers(0, 4)) * unit
+    period = draw(st.one_of(st.none(), st.integers(13, 15).map(lambda k: k * unit)))
+    return np.sort(x), epsilon, period
+
+
+@given(neighborhood_inputs())
+def test_neighborhood_rows_match_the_pairwise_loop(case):
+    x, epsilon, period = case
+    for i in range(x.size):
+        assert naive_neighborhood(x, i, epsilon, period).tolist() == scalar_neighborhood(
+            x, i, epsilon, period
+        )
+
+
 def test_closure_simple_chain():
     x = np.array([0.0, 0.4, 0.8, 5.0, 5.3, 5.6])
     members, cores = density_reachable_closure(x, 1, 0.5, 3)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import read_reference
+import read_sweep
 from scanseg import (
     BorderPolicy,
     NoiseModel,
@@ -525,11 +527,12 @@ def test_generate_peak_memory_bounded_by_block():
     assert peak <= 9_000_000
 
 
-# Block parsing.  A block takes the NumPy path only when it passes the
-# block checks; every other block goes line by line.  The reference is
-# the same loader with the block path switched off, so every block goes
-# line by line: results and errors must not depend on the block size or
-# on how the source was opened.
+# Block parsing.  A block of scan records has one accepting parser, and
+# a point-list block takes the NumPy path only when its lines cast; every
+# other point-list block goes line by line.  The reference reads the whole
+# text line by line with the earlier per-record parser
+# (tests/read_reference.py): results and errors must not depend on the
+# block size or on how the source was opened.
 
 # tokens NumPy must parse as float() does, or refuse as it does: the block
 # parser relies on this, so a NumPy release that changes it fails here
@@ -564,9 +567,14 @@ ASCII_TOKENS = st.one_of(
     st.floats(allow_nan=False).map(lambda v: f"{v:.25e}"),
 )
 
+# a point-list block casts whole lines, so the spaces around a number too
+ASCII_LINES = st.tuples(
+    st.text(" \t", max_size=3), ASCII_TOKENS, st.text(" \t", max_size=3)
+).map("".join)
+
 
 @settings(max_examples=60)
-@given(st.lists(ASCII_TOKENS, min_size=1, max_size=8))
+@given(st.lists(ASCII_TOKENS | ASCII_LINES, min_size=1, max_size=8))
 def test_numpy_parses_any_ascii_token_as_float_does(tokens):
     for token in tokens:
         numpy_bits, float_bits = parse_bits(token)
@@ -612,8 +620,12 @@ def outcomes(load, path, text):
 SMALL_BLOCK = 50
 
 
+# each loader's line-by-line reference
+REFERENCE = {load_scan: read_reference.load_scan, load_points: read_reference.load_points}
+
+
 def assert_same_in_any_blocks(monkeypatch, tmp_path, load, text, sizes=(1, SMALL_BLOCK, None)):
-    """The outcome of every source at every block size is the per-line one.
+    """The outcome of every source at every block size is the reference's.
 
     A non-ASCII byte read by path decodes to a lone surrogate, so a text
     holding other non-ASCII characters is read from a StringIO only.
@@ -623,10 +635,7 @@ def assert_same_in_any_blocks(monkeypatch, tmp_path, load, text, sizes=(1, SMALL
         path.write_bytes(text.encode("ascii", "surrogateescape"))
     except UnicodeEncodeError:
         path = None
-    with monkeypatch.context() as m:
-        m.setattr(scan_io, "_scan_block", lambda block: None)
-        m.setattr(scan_io, "_point_block", lambda block: None)
-        expected = outcome(load, io.StringIO(text))
+    expected = outcome(REFERENCE[load], io.StringIO(text))
     for size in sizes:
         with monkeypatch.context() as m:
             if size is not None:
@@ -792,20 +801,44 @@ def test_point_errors_do_not_depend_on_blocks(monkeypatch, tmp_path, text):
     assert kind == "error"
 
 
+def per_line_blocks(monkeypatch):
+    """The non-empty blocks handed to the per-line parsers, by name."""
+    seen = {"_scan_error": [], "_point_lines": []}
+    for name, blocks in seen.items():
+
+        def spy(block, *args, parse=getattr(scan_io, name), blocks=blocks):
+            if block:
+                blocks.append(block)
+            return parse(block, *args)
+
+        monkeypatch.setattr(scan_io, name, spy)
+    return seen
+
+
 def test_plain_files_take_the_block_path(monkeypatch, tmp_path):
-    # only a point list's leading comments go line by line
-    seen = []
-    for name in ("_scan_lines", "_point_lines"):
-        per_line = getattr(scan_io, name)
-        monkeypatch.setattr(
-            scan_io, name, lambda block, *a, f=per_line: seen.append(block) or f(block, *a)
-        )
+    # a plain scan names no error, and only a point list's leading
+    # comment goes line by line
+    seen = per_line_blocks(monkeypatch)
     monkeypatch.setattr(scan_io, "_READ_BLOCK", SMALL_BLOCK)
     path = tmp_path / "input.txt"
     for load, text in ((load_scan, SCAN), (load_points, POINTS)):
         path.write_text(text)
         load(path)
-    assert [b for b in seen if b] == [POINTS.split("\n")[0] + "\n"]
+    assert seen == {"_scan_error": [], "_point_lines": [POINTS.split("\n")[0] + "\n"]}
+
+
+@pytest.mark.parametrize("size", [1, SMALL_BLOCK, None])
+def test_unended_last_line_takes_the_block_path(monkeypatch, size):
+    # the last block gets the missing "\n", so it casts as any other
+    seen = per_line_blocks(monkeypatch)
+    if size is not None:
+        monkeypatch.setattr(scan_io, "_READ_BLOCK", size)
+    for load, text in ((load_scan, SCAN), (load_points, POINTS)):
+        ended = outcome(load, io.StringIO(text))
+        assert outcome(load, io.StringIO(text.rstrip("\n"))) == ended
+        assert ended[0] != "error"
+    assert seen["_scan_error"] == []
+    assert set(seen["_point_lines"]) == {POINTS.split("\n")[0] + "\n"}
 
 
 def test_record_count_is_reported_before_a_bad_record():
@@ -815,6 +848,43 @@ def test_record_count_is_reported_before_a_bad_record():
             load_scan(io.StringIO(text))
     with pytest.raises(ScanFormatError, match="^line 3: expected"):
         load_scan(io.StringIO(bad))
+
+
+ANGLES = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+    read_sweep.NUMBERS
+)
+RANGES = st.floats(0.0, 1e6).map(repr) | st.sampled_from(read_sweep.NUMBERS)
+
+
+@st.composite
+def record_blocks(draw):
+    """1-8 lines, each ending in "\\n": most hold three tokens between
+    spaces, tabs or "\\x1f"; some hold any tokens (none makes a blank
+    line) between any separators, stray line breaks too."""
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        seps = read_sweep.SEPARATORS
+        if draw(st.integers(0, 7)):
+            fields = [draw(ANGLES), draw(RANGES), draw(st.sampled_from(read_sweep.FLAGS))]
+        else:
+            fields = draw(st.lists(st.sampled_from(read_sweep.TOKENS) | RANGES, max_size=5))
+            seps = seps + read_sweep.ODD_SEPARATORS
+        n = len(fields) + 1
+        seps = draw(st.lists(st.sampled_from(seps), min_size=n, max_size=n))
+        lines.append(seps[0] + "".join(f + s for f, s in zip(fields, seps[1:])) + "\n")
+    return "".join(lines)
+
+
+@settings(max_examples=200)
+@given(record_blocks(), st.integers(2, 10**6))
+def test_block_parser_accepts_what_the_reference_accepts(block, lineno):
+    # same bits when both accept, else the reference's message and line
+    assert read_sweep.mismatch(block, lineno) is None
+
+
+def test_read_sweep_sample():
+    """A sample of the large sweep CI runs (tests/read_sweep.py)."""
+    assert read_sweep.sweep(40_000, seed=16) == (40_000, None)
 
 
 @pytest.fixture(scope="module")
@@ -827,12 +897,10 @@ def large_files(tmp_path_factory):
     return d / "scan.txt", d / "points.txt"
 
 
-def test_large_scan_parses_as_line_by_line(monkeypatch, large_files):
+def test_large_scan_parses_as_line_by_line(large_files):
     scan_path = large_files[0]
-    got = outcome(load_scan, scan_path)
-    with monkeypatch.context() as m:
-        m.setattr(scan_io, "_scan_block", lambda block: None)
-        assert got == outcome(load_scan, scan_path)
+    with open(scan_path) as f:
+        assert outcome(load_scan, scan_path) == outcome(read_reference.load_scan, f)
     # a bad record in the last block, with the right record count
     text = scan_path.read_text()
     cut = text.rindex("\n", 0, -1) + 1
