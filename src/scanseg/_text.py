@@ -2,10 +2,19 @@
 
 A float is written as ``repr`` writes it: the shortest decimal that reads
 back to the same double, the nearest such when there are several, laid
-out by CPython's rule.  The digits come from Ryu (Adams, "Ryu: fast
-float-to-string conversion", PLDI 2018), ported to uint64 arrays: the
-128-bit products are built from 32-bit pieces, and the digits to drop
-are found in greedy steps of 16, 8, 4, 2 and 1, each dividing by a
+out by CPython's rule.  The digits come from Schubfach (R. Giulietti,
+"The Schubfach way to render doubles", 2020), a port of the JDK's
+``DoubleToDecimal.toDecimal`` to uint64 arrays.  One table holds 10**-k
+to 126 bits for every decimal exponent k, exact from Python ints at
+import.  The value and the ends of its rounding interval are scaled by
+it with 64x64-bit high products built from 32-bit halves, rounded to
+odd, and the digits are the one candidate inside the interval of at
+most four: one digit shorter, or the two around the value, the nearer
+when both are inside, ties to the even digit.  The JDK keeps at least
+two digits (4.9E-324), so its guard on the shorter candidate, its
+scaling of the least significands by 10 and its shortcut for small
+integers are left out; repr takes one digit (5e-324).  Trailing zeros
+are dropped in greedy steps of 16, 8, 4, 2 and 1, each dividing by a
 scalar power of ten.  An integer is written as ``%d`` writes it.
 
 A block of rows is one matrix of little-endian uint64 words, a fixed
@@ -23,149 +32,90 @@ import numpy as np
 
 _U64 = np.uint64
 _M32 = _U64(0xFFFFFFFF)
+_M63 = _U64((1 << 63) - 1)
 _POW10 = np.array([10**k for k in range(20)], np.uint64)
-_STEPS = (16, 8, 4, 2, 1)  # digits dropped per greedy step, at most 31 in all
+_STEPS = (16, 8, 4, 2, 1)  # zeros dropped per greedy step, at most 31 in all
 
 
-def _pow5_125(i: int) -> int:
-    """5**i scaled to 125 bits, rounded down."""
-    p = 5**i
-    shift = p.bit_length() - 125
-    return p >> shift if shift >= 0 else p << -shift
+def _log2_pow10(e):
+    """floor(e * log2(10)), exact for |e| <= 1233."""
+    return (e * 913124641741) >> 38
 
 
-# Ryu's two 125-bit tables, exact from Python ints: 2**k / 5**q rounded up
-# for binary exponents >= 0 (q < 342), 5**i for those below (i < 326)
-_POW5_INV = [(1 << (5**q).bit_length() - 1 + 125) // 5**q + 1 for q in range(342)]
-_POW5_SCALED = [_pow5_125(i) for i in range(326)]
+def _g(k: int) -> int:
+    """floor(10**-k / 2**r) + 1 with r = _log2_pow10(-k) - 125, so that
+    2**125 <= g < 2**126: 10**-k to 126 bits, rounded up."""
+    r = _log2_pow10(-k) - 125
+    num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
+    return (num << max(-r, 0)) // (den << max(r, 0)) + 1
 
 
-def _exponent_rows():
-    """Everything of Ryu's step 3 that depends only on the biased exponent
-    b of a double, one row per b: the decimal exponent e10, the table
-    entry's 32-bit quarters, the shift past 64 bits, the mask whose bits
-    of 4 * m2 must all be 0 for vr to be exact (0 where vr and vm are
-    exact outright, binary exponents -4 to -1), and the q of 5**q that
-    decides exactness (binary exponents 0 to 73; -1 elsewhere)."""
-    for b in range(2047):
-        e2 = max(b, 1) - 1077  # of 4 * m2, m2 the mantissa with its hidden bit
-        pow5_q = -1
-        if e2 >= 0:
-            q = (e2 * 78913 >> 18) - (e2 > 3)
-            mul = _POW5_INV[q]
-            shift = -e2 + q + 124 + (5**q).bit_length()
-            e10, trail = q, ~0
-            if q <= 21:
-                pow5_q = q
-        else:
-            q = (-e2 * 732923 >> 20) - (-e2 > 1)
-            i = -e2 - q
-            mul = _POW5_SCALED[i]
-            shift = q - (5**i).bit_length() + 125
-            e10 = q + e2
-            trail = 0 if q <= 1 else (1 << q) - 1 if q < 63 else ~0
-        quarters = [mul >> 32 * k & 0xFFFFFFFF for k in range(4)]
-        yield e10, *quarters, shift - 64, trail & (2**64 - 1), pow5_q
+# the one table, g(k) for every decimal exponent k a scale can take, exact
+# from Python ints, in 63-bit limbs
+_K_MIN = -324
+_G1, _G0 = np.array([divmod(_g(k), 2**63) for k in range(_K_MIN, 293)], np.uint64).T
 
 
-_POW5 = np.array([5**q for q in range(22)], np.uint64)
-_E10, _MUL0, _MUL1, _MUL2, _MUL3, _DIST, _TRAIL, _POW5_Q = (
-    np.array(column, dtype)
-    for column, dtype in zip(zip(*_exponent_rows()), [np.int64] + [np.uint64] * 6 + [np.int64])
-)
+def _mul_high(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high word of each 128-bit product a * b, from 32-bit halves."""
+    a0, a1 = a & _M32, a >> _U64(32)
+    b0, b1 = b & _M32, b >> _U64(32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _U64(32)) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
 
 
-def _mul_shift(m: np.ndarray, mul: list[np.ndarray], dist: np.ndarray) -> np.ndarray:
-    """floor(m * mul / 2**(64 + dist)) for m below 2**55, ``mul`` a
-    128-bit number in 32-bit quarters, least first, and 0 < dist < 64."""
-    m0 = m & _M32
-    m1 = m >> _U64(32)
-    a0, a1, a2, a3 = mul
-    # h0: the high word of m * (a1:a0)
-    p = m1 * a0
-    mid = ((m0 * a0) >> _U64(32)) + (p & _M32) + m0 * a1
-    h0 = m1 * a1 + (p >> _U64(32)) + (mid >> _U64(32))
-    # (h1, l1) = m * (a3:a2)
-    low = m0 * a2
-    p = m1 * a2
-    mid = (low >> _U64(32)) + (p & _M32) + m0 * a3
-    h1 = m1 * a3 + (p >> _U64(32)) + (mid >> _U64(32))
-    l1 = (mid << _U64(32)) | (low & _M32)
-    s = h0 + l1
-    h1 += s < h0
-    return (h1 << (_U64(64) - dist)) | (s >> dist)
-
-
-def _interval(bits: np.ndarray):
-    """Ryu's steps 1 to 3 for positive finite doubles: vr, vp and vm, the
-    value and the ends of its rounding interval as decimals with e10 as
-    exponent; whether vr and vm are exact, and whether the ends are in
-    the interval (the mantissa is even)."""
-    fraction = bits & _U64((1 << 52) - 1)
-    b = (bits >> _U64(52)).astype(np.intp)
-    mm_shift = (fraction != 0) | (b <= 1)  # False: the gap below is half the gap above
-    in_bounds = (fraction & _U64(1)) == 0
-    mv = (fraction | ((b != 0).astype(np.uint64) << _U64(52))) << _U64(2)
-    e10 = np.take(_E10, b)
-    trail = np.take(_TRAIL, b)
-    vr_exact = (mv & trail) == 0
-    exact = trail == 0
-    pow5_q = np.take(_POW5_Q, b)
-    pow5 = np.flatnonzero(pow5_q >= 0)
-    mul = [np.take(t, b) for t in (_MUL0, _MUL1, _MUL2, _MUL3)]
-    dist = np.take(_DIST, b)
-    vr = _mul_shift(mv, mul, dist)
-    vp = _mul_shift(mv + _U64(2), mul, dist)
-    vm = _mul_shift(mv - _U64(1) - mm_shift, mul, dist)
-    vm_exact = exact & in_bounds & mm_shift
-    vp -= exact & ~in_bounds
-    if pow5.size:
-        # binary exponents 0 to 73: 5**q may divide an end of the interval
-        m, p5, shift, bounds = mv[pow5], _POW5[pow5_q[pow5]], mm_shift[pow5], in_bounds[pow5]
-        fives = m % _U64(5) == 0
-        vr_exact[pow5] = fives & (m % p5 == 0)
-        vm_exact[pow5] = ~fives & bounds & ((m - _U64(1) - shift) % p5 == 0)
-        vp[pow5] -= ~fives & ~bounds & ((m + _U64(2)) % p5 == 0)
-    return vr, vp, vm, e10, vr_exact, vm_exact, in_bounds
+def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """g * cp / 2**127 rounded to odd, g = g1 * 2**63 + g0 and cp < 2**63:
+    its floor, with the lowest bit set when the quotient is not whole."""
+    z = ((g1 * cp) >> _U64(1)) + _mul_high(g0, cp)
+    return (_mul_high(g1, cp) + (z >> _U64(63))) | (((z & _M63) + _M63) >> _U64(63))
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(digits, exponent) with digits * 10**exponent the shortest decimal
     that rounds to each positive finite double of ``bits``, the nearest
-    such."""
-    vr, vp, vm, e10, vr_exact, vm_exact, in_bounds = _interval(bits)
-    # drop digits while the interval still holds a shorter decimal
-    removed = np.zeros(bits.shape, np.int64)
-    vm_cut = vm
-    for s in _STEPS:
-        vp_s = vp // _POW10[s]
-        vm_s = vm_cut // _POW10[s]
-        take = vp_s > vm_s
-        if take.any():
-            vp = np.where(take, vp_s, vp)
-            vm_cut = np.where(take, vm_s, vm_cut)
-            removed += take * s
-    if vm_exact.any():
-        # where vm is exact, and so is what is left of it (never 0), drop
-        # the zeros it ends in as well
-        vm_exact &= vm_cut * np.take(_POW10, removed) == vm
-        k = np.flatnonzero(vm_exact)
-        v, r = vm_cut[k], removed[k]
-        for s in _STEPS:
-            take = v % _POW10[s] == 0
-            v = np.where(take, v // _POW10[s], v)
-            r += take * s
-        vm_cut[k], removed[k] = v, r
-    # round at the last dropped digit, half to even when vr is exact
-    last_place = np.take(_POW10, np.maximum(removed - 1, 0))
-    vr_kept = vr // last_place
-    has_last = removed > 0
-    last = np.where(has_last, vr_kept % _U64(10), _U64(0))
-    digits = np.where(has_last, vr_kept // _U64(10), vr_kept)
-    vr_exact &= vr_kept * last_place == vr
-    last[vr_exact & (last == 5) & ((digits & _U64(1)) == 0)] = 4
-    digits += ((digits == vm_cut) & ~(in_bounds & vm_exact)) | (last >= 5)
-    return digits, e10 + removed
+    such, and digits never ending in 0."""
+    fraction = bits & _U64((1 << 52) - 1)
+    b = (bits >> _U64(52)).astype(np.int64)
+    q = np.maximum(b, 1) - 1075
+    c = fraction | ((b != 0).astype(np.uint64) << _U64(52))
+    # the gap below a normal power of two is half the gap above
+    irregular = (fraction == 0) & (b > 1)
+    # 10**k <= the width of the rounding interval < 10**(k + 1)
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = (q + _log2_pow10(-k) + 2).astype(np.uint64)
+    g1, g0 = np.take(_G1, k - _K_MIN), np.take(_G0, k - _K_MIN)
+    # the value and its interval's ends, times 4 / 10**k, rounded to odd
+    cb = c << _U64(2)
+    vb = _rop(g1, g0, cb << h)
+    vbl = _rop(g1, g0, (cb - _U64(2) + irregular) << h)
+    vbr = _rop(g1, g0, (cb + _U64(2)) << h)
+    odd = c & _U64(1)  # an odd significand leaves the ends out
+    s = vb >> _U64(2)
+    # the interval holds at most one multiple of 10**(k + 1): sp or sp + 1
+    sp = s // _U64(10)
+    upin = vbl + odd <= _U64(40) * sp
+    wpin = _U64(40) * sp + _U64(40) + odd <= vbr
+    # and at least one of s and s + 1: the one inside, else the nearer to
+    # vb, ties to the even one
+    uin = vbl + odd <= s << _U64(2)
+    win = (s << _U64(2)) + _U64(4) + odd <= vbr
+    mid = (s << _U64(2)) + _U64(2)
+    up = np.where(uin != win, win, (vb > mid) | ((vb == mid) & (s & _U64(1) == 1)))
+    shorter = upin != wpin
+    digits = np.where(shorter, sp + wpin, s + up)
+    exponent = k + shorter
+    # drop the zeros the digits end in
+    z = np.flatnonzero(digits % _U64(10) == 0)
+    if z.size:
+        v, e = digits[z], exponent[z]
+        for step in _STEPS:
+            take = v % _POW10[step] == 0
+            v = np.where(take, v // _POW10[step], v)
+            e += take * step
+        digits[z], exponent[z] = v, e
+    return digits, exponent
 
 
 def _digit_table() -> np.ndarray:

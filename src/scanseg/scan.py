@@ -9,7 +9,7 @@ import numpy as np
 from .geometry import TWO_PI
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Scan:
     """A polar range scan plus the derived cartesian returns.
 
@@ -19,8 +19,9 @@ class Scan:
     one whole turn in index order, so downstream steps may treat beam
     adjacency as circular across the first/last index.
 
-    ``x``/``y`` are computed at construction.  The scan owns read-only
-    copies of its inputs, so ``x``/``y`` always match ``ranges``.
+    ``x``/``y`` are computed at construction.  The scan is frozen and
+    owns read-only copies of its inputs, so ``x``/``y`` always match
+    ``ranges``; ``dataclasses.replace`` makes a changed copy.
     """
 
     beam_angles: np.ndarray
@@ -42,14 +43,14 @@ class Scan:
             raise ValueError("ranges must be finite")
         if np.any(ranges[valid] < 0.0):
             raise ValueError("valid ranges must be >= 0")
-        self.beam_angles = angles
-        self.ranges = ranges
-        self.valid = valid
-        self.full_circle = bool(self.full_circle)
-        self.x = ranges * np.cos(angles)
-        self.y = ranges * np.sin(angles)
-        for a in (angles, ranges, valid, self.x, self.y):
+        x, y = ranges * np.cos(angles), ranges * np.sin(angles)
+        for a in (angles, ranges, valid, x, y):
             a.flags.writeable = False
+        owned = dict(
+            beam_angles=angles, ranges=ranges, valid=valid, full_circle=bool(self.full_circle), x=x, y=y
+        )
+        for name, value in owned.items():
+            object.__setattr__(self, name, value)
 
     @property
     def beams(self) -> int:

@@ -13,7 +13,8 @@ so does a line holding a line break other than "\n", "\r\n" or "\r".
 Floats are written as repr writes them, which round-trips every finite
 double exactly, by one block row writer that the scanseg command uses
 for its label columns too: a vectorized shortest round-trip kernel
-(Ryu, in scanseg._text) formats each block of rows as one byte matrix.
+(Schubfach, in scanseg._text) formats each block of rows as one byte
+matrix.
 
 Files are read in blocks of whole lines of bounded size, each a
 fixed-size read plus the rest of the line it ends in, and each ending in
@@ -416,6 +417,8 @@ class NoiseModel:
             raise ValueError(f"sigma must be >= 0, got {self.range_noise_sigma}")
         if not 0.0 <= self.dropout_probability <= 1.0:
             raise ValueError(f"dropout must be in [0, 1], got {self.dropout_probability}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 # beams per broadcast block: bounds the (block, V) temporaries, so peak

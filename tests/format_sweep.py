@@ -5,9 +5,13 @@
 Writes each double through ``scanseg._text.rows("%r\\n", ...)`` and
 through ``repr`` and exits 1 at the first difference.  The doubles are
 ``--count`` seeded random bit patterns (every sign, exponent, NaN
-payload and subnormal alike), every power of two with both signs, and
-the 17 doubles within 8 ulps of each power of ten from 1e-323 to 1e308.
-Tier-1 runs a sample of the random patterns (``test_text.py``).
+payload and subnormal alike), and with both signs: every power of two
+and the doubles one ulp either side of it, where the gap below a double
+halves; every subnormal with a significand below 4096, whose shortest
+decimals have the fewest digits (one for 5e-324, where the JDK keeps
+two); and the 17 doubles within 8 ulps of each power of ten from 1e-323
+to 1e308.  Tier-1 runs a sample of the random patterns
+(``test_text.py``).
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ CHUNK = 1 << 16
 
 
 def edge_values() -> np.ndarray:
-    """Every power of two and the doubles near every power of ten, with
-    both signs."""
-    twos = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    """Every power of two and its neighbours, the least subnormals and
+    the doubles near every power of ten, with both signs."""
+    twos = np.array([math.ldexp(1.0, e) for e in range(-1074, 1024)]).view(np.int64)
     tens = np.array([float(f"1e{k}") for k in range(-323, 309)]).view(np.int64)
-    near = (tens[:, None] + np.arange(-8, 9)).ravel()
-    values = np.concatenate((twos, near[near >= 0].view(np.float64)))
+    near = np.concatenate(((twos[:, None] + np.arange(-1, 2)).ravel(), np.arange(4096)))
+    near = np.concatenate((near, (tens[:, None] + np.arange(-8, 9)).ravel()))
+    values = near[near >= 0].view(np.float64)
     return np.concatenate((values, -values))
 
 

@@ -355,6 +355,10 @@ class TestGenerate:
         assert main(["generate", "--room", "pentagon"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert main(["generate", "--room", "square", "--beams", "8", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_generated_file_loads_back(self, tmp_path):
         target = tmp_path / "s.txt"
         main(["generate", "--room", "square", "--beams", "16", "--output", str(target)])

@@ -1,5 +1,6 @@
 """Scan container, file formats, room models, and the synthetic generator."""
 
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -92,6 +93,20 @@ class TestScan:
         after = {k: v.tobytes() for k, v in vars(scan).items() if isinstance(v, np.ndarray)}
         assert after == before
         assert scan.beams == 360
+
+    @pytest.mark.parametrize("name", ["beam_angles", "ranges", "valid", "full_circle", "x", "y"])
+    def test_fields_cannot_be_reassigned(self, name):
+        scan = Scan(np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([True, True]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scan, name, getattr(scan, name))
+
+    def test_replace_recomputes_cartesian(self):
+        scan = Scan(np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([True, True]), True)
+        moved = dataclasses.replace(scan, ranges=np.array([5.0, 5.0]))
+        np.testing.assert_array_equal(moved.x, 5.0 * np.cos([0.0, 1.0]))
+        np.testing.assert_array_equal(moved.y, 5.0 * np.sin([0.0, 1.0]))
+        assert moved.full_circle is True and not moved.ranges.flags.writeable
+        np.testing.assert_array_equal(scan.ranges, [1.0, 2.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -318,6 +333,12 @@ class TestRoomModel:
             NoiseModel(-0.1, 0.0)
         with pytest.raises(ValueError):
             NoiseModel(0.0, 1.5)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_noise_model_rejects_bad_seed(self, seed):
+        # caught when the model is made, not inside numpy's generator
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got"):
+            NoiseModel(0.01, 0.0, seed)
 
 
 class TestGenerator:

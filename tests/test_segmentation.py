@@ -363,8 +363,8 @@ def exact_scan(x, y, valid):
     """A scan whose cartesian returns are exactly x and y (from_xy would
     round them through polar form)."""
     scan = Scan.from_xy(x, y, valid, full_circle=False)
-    scan.x = np.asarray(x, dtype=np.float64)
-    scan.y = np.asarray(y, dtype=np.float64)
+    object.__setattr__(scan, "x", np.asarray(x, dtype=np.float64))
+    object.__setattr__(scan, "y", np.asarray(y, dtype=np.float64))
     return scan
 
 

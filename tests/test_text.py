@@ -36,6 +36,16 @@ FINITE = [
     1.7976931348623157e308, 1e-4, 9.999999999999999e-05, 1e-5, 1e15,
     9999999999999998.0, 1e16, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e22, 1e23,
     0.1, 0.3, 5e-310, 2.598865464936007e16,
+    # a decimal one digit shorter is inside the interval: s // 10 (3.5),
+    # the one after it (4.6)
+    3.5, 4.6,
+    # of s and s + 1 only one is inside
+    0.6043392097476641,
+    # both are inside and s + 1 is the nearer
+    1.5e-323,
+    # both are inside and equally near: the even one, s (...64.12) and
+    # s + 1 (...64.38)
+    70368744177664.125, 70368744177664.375,
 ]
 EDGES = (
     FINITE
