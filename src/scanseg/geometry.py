@@ -122,9 +122,11 @@ def tls_fit(points) -> PolarLine:
     cy = float(np.add.reduce(pts[:, 1])) / n
     dx = pts[:, 0] - cx
     dy = pts[:, 1] - cy
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    sxy = float(dx @ dy)
+    # NumPy's pairwise sums, not BLAS dot products: the bits then do not
+    # depend on the BLAS kernel the CPU picks or on its thread count
+    sxx = float(np.add.reduce(dx * dx))
+    syy = float(np.add.reduce(dy * dy))
+    sxy = float(np.add.reduce(dx * dy))
     spread = sxx + syy
     if spread <= 0.0:
         raise DegenerateFitError("all points coincide")

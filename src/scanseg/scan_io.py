@@ -29,6 +29,16 @@ refuses: the per-line parser also accepts text (str.strip() takes a
 "\x1f" at a line's end, which float() refuses) and names the first bad
 line.
 
+A room is a simple polygon with the sensor strictly inside.  Its
+validation is CLRS's SEGMENTS-INTERSECT (Cormen et al., section 33.1):
+every pair of edges, in order, with one exact orientation test per
+endpoint, and one on-edge predicate wherever a point may lie on a closed
+edge: a touch or collinear overlap of two edges, a far endpoint on its
+neighbour edge (a fold-back), the sensor on the boundary.  Coordinates so
+large that an orientation product overflows float64 (differences of
+about 1e154) are refused by name, since an inf or NaN there would judge
+the room wrongly.
+
 The generator ray-casts beams from a sensor pose inside a simple polygon
 and perturbs ranges with seeded multiplicative Gaussian noise; the RNG
 is the 64-bit counter-based Philox generator, so streams are
@@ -311,9 +321,11 @@ def _orientation(ox, oy, ax, ay, bx, by) -> float:
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
-def _on_segment(ax, ay, bx, by, px, py) -> bool:
-    # collinearity assumed; checks the bounding box only
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+def _on_edge(a, b, p) -> bool:
+    """True if point p lies on the closed segment ab."""
+    (ax, ay), (bx, by), (px, py) = a, b, p
+    on_line = _orientation(ax, ay, bx, by, px, py) == 0
+    return on_line and min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
 def _segments_cross(p1, p2, p3, p4) -> bool:
@@ -322,17 +334,9 @@ def _segments_cross(p1, p2, p3, p4) -> bool:
     d2 = _orientation(*p3, *p4, *p2)
     d3 = _orientation(*p1, *p2, *p3)
     d4 = _orientation(*p1, *p2, *p4)
-    if ((d1 > 0) != (d2 > 0)) and d1 != 0 and d2 != 0 and ((d3 > 0) != (d4 > 0)) and d3 != 0 and d4 != 0:
-        return True
-    if d1 == 0 and _on_segment(*p3, *p4, *p1):
-        return True
-    if d2 == 0 and _on_segment(*p3, *p4, *p2):
-        return True
-    if d3 == 0 and _on_segment(*p1, *p2, *p3):
-        return True
-    if d4 == 0 and _on_segment(*p1, *p2, *p4):
-        return True
-    return False
+    if d1 and d2 and d3 and d4:  # no three endpoints collinear
+        return (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
+    return _on_edge(p3, p4, p1) or _on_edge(p3, p4, p2) or _on_edge(p1, p2, p3) or _on_edge(p1, p2, p4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +345,8 @@ class RoomModel:
 
     vertices is an ordered (V, 2) array (either winding); sensor is
     (x, y, heading).  Construction rejects self-intersecting polygons,
-    degenerate edges, and sensor positions outside or on the boundary.
+    degenerate edges, and sensor positions outside or on the boundary,
+    and refuses coordinates so large that its edge tests overflow.
     """
 
     vertices: np.ndarray
@@ -358,6 +363,18 @@ class RoomModel:
             raise ValueError("sensor must be a finite (x, y, heading) triple")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "sensor", sensor)
+        # huge coordinates overflow the orientation products, and an inf
+        # or NaN there would misjudge the room
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                self._check_polygon()
+        except FloatingPointError:
+            raise ValueError(
+                "room edge tests overflow float64: coordinates too large or too far apart"
+            ) from None
+
+    def _check_polygon(self) -> None:
+        v = self.vertices
         nv = v.shape[0]
         edges = [(tuple(v[i]), tuple(v[(i + 1) % nv])) for i in range(nv)]
         for a, b in edges:
@@ -365,34 +382,25 @@ class RoomModel:
                 raise ValueError("polygon has a zero-length edge")
         for i in range(nv):
             for j in range(i + 1, nv):
-                adjacent = j == i + 1 or (i == 0 and j == nv - 1)
-                if adjacent:
-                    # consecutive edges may only meet at the shared vertex
-                    shared = edges[i][1] if j == i + 1 else edges[i][0]
-                    others = [p for p in (*edges[i], *edges[j]) if p != shared]
-                    for p in others:
-                        seg = edges[j] if p in edges[i] else edges[i]
-                        if _orientation(*seg[0], *seg[1], *p) == 0 and _on_segment(
-                            *seg[0], *seg[1], *p
-                        ):
-                            raise ValueError("polygon folds back on itself")
+                if j == i + 1 or (i == 0 and j == nv - 1):
+                    # consecutive edges may only meet at the shared vertex,
+                    # so neither far endpoint may lie on the other edge
+                    (a, b), (c, d) = edges[i], edges[j]
+                    far_i, far_j = (a, d) if j == i + 1 else (b, c)
+                    if _on_edge(c, d, far_i) or _on_edge(a, b, far_j):
+                        raise ValueError("polygon folds back on itself")
                 elif _segments_cross(*edges[i], *edges[j]):
                     raise ValueError(
                         f"polygon is not simple: edges {i} and {j} intersect"
                     )
-        if not self._strictly_inside(sensor[0], sensor[1]):
+        if not self._strictly_inside(*self.sensor[:2]):
             raise ValueError("sensor must be strictly inside the polygon")
 
     def _strictly_inside(self, px: float, py: float) -> bool:
         v = self.vertices
         nv = v.shape[0]
-        for i in range(nv):
-            ax, ay = v[i]
-            bx, by = v[(i + 1) % nv]
-            if _orientation(ax, ay, bx, by, px, py) == 0.0 and _on_segment(
-                ax, ay, bx, by, px, py
-            ):
-                return False
+        if any(_on_edge(v[i], v[(i + 1) % nv], (px, py)) for i in range(nv)):
+            return False
         inside = False
         j = nv - 1
         for i in range(nv):

@@ -5,7 +5,9 @@ checks the circular-mean range before any finiteness scan, to save
 per-call overhead.  These are the forms they replaced, kept verbatim
 (``.mean()`` centroids; finiteness, period and range checked in that
 order), so the tests can hold the fast forms to the same floats and the
-same exceptions.
+same exceptions.  ``reference_tls_fit`` takes its second moments as the
+package does, by ``np.add.reduce``: the earlier ``@`` dot products gave
+bits that hung on the BLAS kernel and its thread count.
 """
 
 import math
@@ -35,9 +37,9 @@ def reference_tls_fit(points):
     cy = pts[:, 1].mean()
     dx = pts[:, 0] - cx
     dy = pts[:, 1] - cy
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    sxy = float(dx @ dy)
+    sxx = float(np.add.reduce(dx * dx))
+    syy = float(np.add.reduce(dy * dy))
+    sxy = float(np.add.reduce(dx * dy))
     spread = sxx + syy
     if spread <= 0.0:
         raise DegenerateFitError("all points coincide")

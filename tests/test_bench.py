@@ -175,3 +175,18 @@ class TestCsv:
         text = buf.getvalue()
         assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
         assert len(text.splitlines()) == 2
+
+
+def test_scaling_needs_a_trial():
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        bench_scaling([10], trials=0)
+
+
+def test_epsilon_sweep_needs_a_point():
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        bench_epsilon_sweep(0, [0.1])
+
+
+def test_epsilon_sweep_needs_a_trial():
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        bench_epsilon_sweep(10, [0.1], trials=0)

@@ -1,14 +1,30 @@
 """Command line interface, driven in-process through main()."""
 
 import hashlib
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import scanseg
 from scanseg import load_points, load_scan
 from scanseg.cli import main
+
+SRC = os.path.dirname(os.path.dirname(scanseg.__file__))
+
+# (-a, 1), (0, 1), (a, 1), an invalid beam, (a, -1), (0, -1), (-a, -1)
+# with a = sqrt(1.5), so that the x and y spreads match
+ISOTROPIC_SCAN = """beams=7 full_circle=0
+2.4568734505875103 1.5811388300841895 1
+1.5707963267948966 1.0 1
+0.684719203002283 1.5811388300841895 1
+0.0 0.0 0
+5.598466104177303 1.5811388300841895 1
+4.71238898038469 1.0 1
+3.826311856592076 1.5811388300841895 1
+"""
 
 
 def write(path, text):
@@ -273,6 +289,15 @@ class TestSegment:
         assert main(argv) == 2
         assert "error: line 3:" in capsys.readouterr().err
 
+    def test_failed_fit_prints_nan(self, tmp_path, capsys):
+        # two parallel runs of three points, one cluster under a wide
+        # distance radius, whose scatter is isotropic: no line fits
+        scan_path = write(tmp_path / "iso.txt", ISOTROPIC_SCAN)
+        argv = ["segment", scan_path, "--eps-theta", "0.1", "--eps-dist", "5",
+                "--min-points", "3", "--output", str(tmp_path / "x.txt")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "1 6 3.1415926535897927 nan nan\n"
+
     def test_single_wall_line_recovered(self, tmp_path, capsys):
         # a square seen with so few beams that only wall output matters is
         # overkill here; instead segment a clean square and check every
@@ -354,6 +379,22 @@ class TestGenerate:
     def test_bad_room_spec(self, capsys):
         assert main(["generate", "--room", "pentagon"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_square_side_must_be_positive(self, capsys):
+        assert main(["generate", "--room", "square:0"]) == 2
+        assert capsys.readouterr().err == "error: square side must be > 0, got 0.0\n"
+
+    def test_huge_room_is_refused_without_a_warning(self):
+        # its orientation products overflow float64; numpy must not warn
+        room = "1e160,1e160;2e160,1e160;1e160,2e160"
+        run = subprocess.run(
+            [sys.executable, "-m", "scanseg", "generate", f"--room={room}", "--beams", "8"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert run.returncode == 2
+        assert run.stderr == (
+            "error: room edge tests overflow float64: coordinates too large or too far apart\n"
+        )
 
     def test_negative_seed_is_a_usage_error(self, capsys):
         assert main(["generate", "--room", "square", "--beams", "8", "--seed", "-1"]) == 2

@@ -847,3 +847,26 @@ class TestClusterSequence:
         assert list(reversed(list(clusters)))[0] == clusters[-1]
         with pytest.raises(IndexError):
             clusters[len(clusters)]
+
+
+def test_neighborhood_rejects_negative_epsilon():
+    with pytest.raises(ValueError, match=r"^epsilon must be finite and >= 0, got -1\.0$"):
+        calculate_neighborhood(np.array([0.0, 1.0]), -1.0)
+
+
+def test_cluster_sequence_repr_lists_a_few_clusters():
+    clusters = ClusterSequence(np.array([0, 4]), np.array([2, 6]))
+    assert repr(clusters) == (
+        "ClusterSequence([Cluster1D(id=1, lower=0, upper=2), Cluster1D(id=2, lower=4, upper=6)])"
+    )
+
+
+def test_cluster_sequence_repr_counts_many_clusters():
+    clusters = ClusterSequence(np.arange(0, 14, 2), np.arange(1, 15, 2))
+    assert repr(clusters) == "ClusterSequence(<7 clusters>)"
+
+
+def test_cluster_sequence_is_not_equal_to_an_unrelated_type():
+    clusters = ClusterSequence(np.array([0]), np.array([2]))
+    assert clusters.__eq__(5) is NotImplemented
+    assert clusters != 5 and clusters != "ClusterSequence"

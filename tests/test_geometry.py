@@ -1,11 +1,15 @@
 """Line fitting, polar normal form, circular means, local angle estimation."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import scanseg
 from scanseg import (
     DegenerateFitError,
     InsufficientDataError,
@@ -33,6 +37,28 @@ ROOM8 = np.array(
     [[-4.0, -3.0], [4.0, -3.0], [4.0, 3.0], [1.0, 3.0],
      [1.0, 5.0], [-1.0, 5.0], [-1.0, 2.5], [-4.0, 2.5]]
 )
+
+
+# seeded noisy lines of 12.5k to 100k points, each fit printed by repr
+BLAS_FITS = """
+import numpy as np
+from scanseg import tls_fit
+rng = np.random.default_rng(12)
+for n in (12_500, 20_000, 50_000, 100_000):
+    for _ in range(4):
+        t = rng.uniform(-5.0, 5.0, n)
+        line = tls_fit(np.column_stack((t, 0.3 * t + 1.0 + rng.normal(0.0, 0.05, n))))
+        print(repr(line.d), repr(line.theta))
+"""
+
+
+def _cpu_flags() -> set[str]:
+    """The CPU's feature flags, or none where /proc/cpuinfo is missing."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            return {word for line in f if line.startswith("flags") for word in line.split()}
+    except OSError:
+        return set()
 
 
 def angular_distance(a, b, period=TWO_PI):
@@ -117,6 +143,26 @@ class TestTlsFit:
         square = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(OrientationUndefinedError):
             tls_fit(square)
+
+    def test_fits_do_not_depend_on_blas(self):
+        # OpenBLAS splits dot products of more than 10k values across its
+        # threads, and picks its kernel by CPU; neither may change a bit
+        setups = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
+        flags = _cpu_flags()
+        for core, flag in (("Haswell", "avx2"), ("Sandybridge", "avx")):
+            if flag in flags:
+                setups.append({"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": core})
+        src = os.path.dirname(os.path.dirname(scanseg.__file__))
+        outputs = []
+        for setting in setups:
+            env = {**os.environ, **setting, "PYTHONPATH": src}
+            run = subprocess.run(
+                [sys.executable, "-c", BLAS_FITS], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(run.stdout)
+        assert outputs[0].count("\n") == 16
+        for setting, out in zip(setups[1:], outputs[1:]):
+            assert out == outputs[0], setting
 
     @given(
         st.floats(0.2, 5.0),
@@ -565,3 +611,23 @@ def test_local_angles_peak_memory_bounded_by_block():
     finally:
         tracemalloc.stop()
     assert peak <= 5_000_000
+
+
+def test_tls_fit_rejects_three_columns():
+    with pytest.raises(ValueError, match=r"^points must have shape \(n, 2\), got \(4, 3\)$"):
+        tls_fit(np.zeros((4, 3)))
+
+
+def test_circular_mean_rejects_two_dimensions():
+    with pytest.raises(ValueError, match=r"^angles must be one-dimensional, got shape \(2, 2\)$"):
+        circular_mean(np.zeros((2, 2)))
+
+
+def test_local_angles_reject_unequal_lengths():
+    with pytest.raises(ValueError, match=r"^x, y, valid must be one-dimensional and equally long$"):
+        estimate_local_angles(np.zeros(4), np.zeros(3), np.ones(4, bool))
+
+
+def test_line_through_origin_needs_a_half_turn_normal():
+    with pytest.raises(ValueError, match=r"^a line through the origin needs theta in \[0, pi\)$"):
+        PolarLine(0.0, 4.0)

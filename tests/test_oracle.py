@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from scanseg import BorderPolicy
+from scanseg import BorderPolicy, DegenerateFitError, OrientationUndefinedError
 from scanseg.oracle import (
     density_reachable_closure,
     eigen_tls,
@@ -142,3 +142,14 @@ def test_eigen_tls_axis_cases():
     vertical = eigen_tls(np.array([[3.0, 0.0], [3.0, 2.0], [3.0, 7.0]]))
     assert vertical.d == pytest.approx(3.0, abs=1e-12)
     assert min(vertical.theta, 2 * np.pi - vertical.theta) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_eigen_tls_coincident_points():
+    with pytest.raises(DegenerateFitError, match=r"^all points coincide$"):
+        eigen_tls(np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]))
+
+
+def test_eigen_tls_isotropic_scatter():
+    square = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(OrientationUndefinedError, match=r"^point scatter is isotropic$"):
+        eigen_tls(square)

@@ -3,7 +3,9 @@
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 import read_reference
 import read_sweep
+import room_reference
+import room_sweep
 from scanseg import (
     BorderPolicy,
     NoiseModel,
@@ -44,6 +48,10 @@ def square_room(side=4.0, sensor=(0.0, 0.0, 0.0)):
 
 
 class TestScan:
+    def test_non_finite_range_rejected(self):
+        with pytest.raises(ValueError, match=r"^ranges must be finite$"):
+            Scan(np.array([0.0]), np.array([np.inf]), np.array([True]), False)
+
     def test_cartesian_projection(self):
         scan = Scan(np.array([0.0]), np.array([2.0]), np.array([True]), False)
         assert scan.x[0] == 2.0
@@ -302,6 +310,13 @@ class TestPointsFile:
             load_points(io.StringIO("1.5\r2.5\rx\r"))
 
 
+@pytest.mark.parametrize("period", ["0", "inf"])
+def test_period_must_be_finite_and_positive(period):
+    text = f"# circular period={period}\n1.0\n"
+    with pytest.raises(ScanFormatError, match=r"^line 1: period must be finite and > 0$"):
+        load_points(io.StringIO(text))
+
+
 class TestRoomModel:
     def test_simple_polygon_accepted(self):
         square_room()
@@ -328,6 +343,91 @@ class TestRoomModel:
         with pytest.raises(ValueError):
             RoomModel(verts, (1.0, 0.0, 0.0))  # on the boundary
 
+    # each case reaches one rule of the validation first, and the earlier
+    # validation (room_reference) gives the same message
+    @pytest.mark.parametrize(
+        "vertices, sensor, message",
+        [
+            pytest.param(
+                [(0, 0), (4, 0), (4, 3), (2, 0), (0, 3)], (1, 1),
+                "polygon is not simple: edges 0 and 2 intersect", id="vertex-on-edge",
+            ),
+            pytest.param(
+                [(1, 0), (3, 0), (2, 3), (4, 0), (0, 0), (2, -2)], (2, 1),
+                "polygon is not simple: edges 0 and 3 intersect", id="collinear-overlap",
+            ),
+            pytest.param(
+                [(0, 0), (2, 2), (4, 0), (4, 4), (2, 2), (0, 4)], (1, 2),
+                "polygon is not simple: edges 0 and 3 intersect", id="repeated-vertex",
+            ),
+            pytest.param(
+                [(2, 0), (4, 0), (0, 0), (2, 3)], (2, 1),
+                "polygon folds back on itself", id="fold-back-onto-next-edge",
+            ),
+            pytest.param(
+                [(0, 0), (4, 0), (2, 0), (2, 3)], (2, 1),
+                "polygon folds back on itself", id="fold-back-onto-previous-edge",
+            ),
+            pytest.param(
+                [(0, 0), (2, 0), (2, 3), (4, 0)], (2, 1),
+                "polygon folds back on itself", id="fold-back-wrap",
+            ),
+            pytest.param(
+                [(-1, -1), (1, -1), (1, 1), (-1, 1)], (-1, -1),
+                "sensor must be strictly inside the polygon", id="sensor-on-vertex",
+            ),
+            pytest.param(
+                [(-1, -1), (1, -1), (1, 1), (-1, 1)], (-1, 0),
+                "sensor must be strictly inside the polygon", id="sensor-on-edge",
+            ),
+            pytest.param(
+                [(0, 0), (1, 0), (0, math.inf)], (0.1, 0.1),
+                "vertices must be finite", id="infinite-vertex",
+            ),
+            pytest.param(
+                [(0, 0), (1, 0), (0, 1)], (0.1, math.nan),
+                "sensor must be a finite (x, y, heading) triple", id="nan-sensor",
+            ),
+        ],
+    )
+    def test_each_rule_names_its_fault(self, vertices, sensor, message):
+        vertices = np.array(vertices, dtype=np.float64)
+        sensor = (*sensor, 0.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RoomModel(vertices, sensor)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            room_reference.validate(vertices, sensor)
+
+    @pytest.mark.parametrize(
+        "p1, p2, p3, p4",
+        [
+            ((1, 0), (1, 2), (0, 0), (2, 0)),  # only p1 lies on p3p4
+            ((1, 2), (1, 0), (0, 0), (2, 0)),  # only p2 lies on p3p4
+            ((0, 0), (2, 0), (1, 0), (1, 2)),  # only p3 lies on p1p2
+            ((0, 0), (2, 0), (1, 2), (1, 0)),  # only p4 lies on p1p2
+        ],
+        ids=["p1", "p2", "p3", "p4"],
+    )
+    def test_each_collinear_touch_crosses(self, p1, p2, p3, p4):
+        points = [tuple(map(float, p)) for p in (p1, p2, p3, p4)]
+        assert scan_io._segments_cross(*points)
+        assert room_reference._segments_cross(*points)
+        # the same touch one unit away is no crossing
+        points[0], points[1] = (p1[0] + 5.0, p1[1]), (p2[0] + 5.0, p2[1])
+        assert not scan_io._segments_cross(*points)
+
+    def test_huge_room_is_refused_by_name(self):
+        triangle = np.array([[1.5, 2.0], [2.0, 1.0], [0.0, 3.5]])
+        with pytest.raises(ValueError, match="^sensor must be strictly inside"):
+            RoomModel(triangle, (2.0, 2.0, 0.0))
+        # the same room scaled by 2**530: its orientation products overflow,
+        # and the earlier validation accepted it with the sensor outside
+        scale = 2.0**530
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^room edge tests overflow float64"):
+                RoomModel(triangle * scale, (2.0 * scale, 2.0 * scale, 0.0))
+
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.1, 0.0)
@@ -342,6 +442,10 @@ class TestRoomModel:
 
 
 class TestGenerator:
+    def test_needs_a_beam(self):
+        with pytest.raises(ValueError, match=r"^beams must be >= 1, got 0$"):
+            generate_scan(square_room(), 0)
+
     def test_unit_square_four_beams(self):
         scan, _ = generate_scan(square_room(side=1.0), 4)
         np.testing.assert_allclose(scan.ranges, 0.5, rtol=0, atol=1e-15)
@@ -901,6 +1005,14 @@ def record_blocks(draw):
 def test_block_parser_accepts_what_the_reference_accepts(block, lineno):
     # same bits when both accept, else the reference's message and line
     assert read_sweep.mismatch(block, lineno) is None
+
+
+def test_room_sweep_sample():
+    """A sample of the large sweep CI runs (tests/room_sweep.py)."""
+    seen, bad = room_sweep.sweep(4_000, seed=18)
+    assert bad is None
+    # the sample reaches every outcome
+    assert len(seen) == 5 and sum(seen.values()) == 4_000
 
 
 def test_read_sweep_sample():
