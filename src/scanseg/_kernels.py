@@ -5,12 +5,13 @@ exact float predicate of the paper's pointer sweep.  They run in blocks of
 ``VEC_BLOCK`` points that keep scratch memory small, each searching a
 window of the block plus one neighborhood, so after the sort they cost
 O(N log VEC_BLOCK) while neighborhoods stay under a block, and O(N log N)
-only when one neighborhood spans the array.  Lower bounds are not
-searched: lower[i] is the first point whose upper bound reaches i, a
-running count of the upper bounds, across the seam of a ring too.  Labels
-and cluster ranges then follow from chains of linked cores.  All are
-bit-identical to the paper's counted O(N) sweep, which the tests keep as
-the reference.
+only when one neighborhood spans the array.  Lower bounds follow from
+the upper ones by one rule: lower[i] is the first point whose upper bound
+reaches i, and across the seam of a ring the first point whose bound
+reaches n + i, less n.  On a line that is a running count of the upper
+bounds; for the head of a ring, a search of them.  Labels and cluster
+ranges then follow from chains of linked cores.  All are bit-identical to
+the paper's counted O(N) sweep, which the tests keep as the reference.
 
 The paper's operation counts follow from the same bounds and chains:
 :func:`sweep_steps` and :func:`sweep_touches` give the pointer steps and
@@ -52,7 +53,7 @@ def _blocks(n):
     return ((a, min(a + VEC_BLOCK, n)) for a in range(0, n, VEC_BLOCK))
 
 
-def _last_fit(s, idx, fits, linear=False):
+def _last_fit(s, idx, fits):
     """Move candidates ``idx`` (in place) to the last index that fits.
 
     ``fits(j, k)`` evaluates the predicate at indices j for entries k of idx
@@ -62,15 +63,10 @@ def _last_fit(s, idx, fits, linear=False):
     equal exactly where both group and value are.  The predicate depends
     on the value only, so each correction step passes a whole run of equal
     keys: long runs of equal values cost one step, not one per index.
-    ``linear`` says that every candidate lies at or above an index that
-    fits, as a linear bound does above its own point, so none is -1.
     """
     n = s.shape[0]
-    fail = ~fits(idx, slice(None))
-    if not linear:
-        # at -1 the predicate reads the last value; drop those
-        fail &= idx >= 0
-    k = fail.nonzero()[0]
+    # at -1 the predicate reads the last value; drop those
+    k = (~fits(idx, slice(None)) & (idx >= 0)).nonzero()[0]
     while k.size:
         idx[k] = s.searchsorted(s[idx[k]], "left") - 1
         k = k[idx[k] >= 0]
@@ -109,7 +105,7 @@ def _block_upper(x, s, eps, a, b, top):
     end = int(s.searchsorted(key[-1], "right"))
     up = s[a:end].searchsorted(key, "right")
     up += a - 1
-    _last_fit(s, up, fits, linear=True)
+    _last_fit(s, up, fits)
     return up
 
 
@@ -156,8 +152,8 @@ def circular_bounds(x, eps, period):
     brute-force reference, so both sides make identical float decisions.
     A point continues past the seam only when its linear upper bound
     already reaches the array end; there the wrapped predicate picks up the
-    values from the other end.  Lower bounds are then counted from the
-    upper ones, across the seam too, as on a line.
+    values from the other end.  Lower bounds then follow from the upper
+    ones, across the seam too, as on a line.
     """
     n = x.shape[0]
     lower, upper = linear_bounds(x, eps)
@@ -173,17 +169,16 @@ def circular_bounds(x, eps, period):
         upper[a : a + VEC_BLOCK] += j
     # Lower bounds across the seam follow from upper, as on a line: a head
     # point i < head, reached by the last point, has for lower bound the
-    # first tail point whose upper bound reaches n + i.  This is exact for
-    # two reasons.  Across the seam two points are neighbors by one float
-    # expression, period - (x_tail - x_head) <= eps, the same from either
-    # side, and the tail pass above evaluated it.  And rounding is
+    # first point whose upper bound reaches n + i, less n.  This is exact
+    # for two reasons.  Across the seam two points are neighbors by one
+    # float expression, period - (x_tail - x_head) <= eps, the same from
+    # either side, and the tail pass above evaluated it.  And rounding is
     # monotone, so a point that does not reach x[n-1] on the line does not
-    # reach across the seam either: only tail points can.
+    # reach across the seam either: only tail points can, and upper never
+    # decreases, so searching all of it finds them.
     head = int(upper[-1]) - (n - 1) if n else 0
-    reach = upper[tail:]
     for a, b in _blocks(head):
-        lower[a:b] = reach.searchsorted(np.arange(n + a, n + b), "left")
-        lower[a:b] += tail - n
+        lower[a:b] = upper.searchsorted(np.arange(n + a, n + b), "left") - n
     return lower, upper
 
 
@@ -193,39 +188,28 @@ def core_chains(lower, upper, min_points):
     Cores c < c' that are consecutive among the cores belong to one chain
     exactly when c' <= upper[c]; chains come back in index order.
     """
-    if upper.shape[0] <= VEC_BLOCK:
-        core = (upper - lower >= min_points - 1).nonzero()[0]
-        if not core.size:
-            return core, core, 0
-        starts = np.empty(core.size, np.bool_)
-        starts[0] = True
-        np.greater(core[1:], upper[core[:-1]], out=starts[1:])
-        # a chain ends where the next one starts
-        ends = np.empty_like(starts)
-        ends[:-1] = starts[1:]
-        ends[-1] = True
-        return core[starts], core[ends], core.size
     firsts, lasts = [], []
-    cores = 0
-    prev_core, prev_reach = -1, -1
-    for a, b in _blocks(upper.shape[0]):
-        up = upper[a:b]
-        core = np.flatnonzero(up - lower[a:b] >= min_points - 1)
+    cores, prev_reach = 0, -1
+    for a in range(0, upper.shape[0], VEC_BLOCK):
+        up = upper[a : a + VEC_BLOCK]
+        core = (up - lower[a : a + VEC_BLOCK] >= min_points - 1).nonzero()[0]
         if not core.size:
             continue
         cores += core.size
         reach = up[core]
         core += a
-        starts = np.empty(core.size, np.bool_)
-        starts[0] = core[0] > prev_reach
-        np.greater(core[1:], reach[:-1], out=starts[1:])
-        if starts[0] and prev_core >= 0:
-            lasts.append(np.array([prev_core], np.int64))
-        lasts.append(core[:-1][starts[1:]])
-        firsts.append(core[starts])
-        prev_core, prev_reach = int(core[-1]), int(reach[-1])
-    if prev_core >= 0:
-        lasts.append(np.array([prev_core], np.int64))
+        # edges[i] says that core i starts a chain, edges[i + 1] that it
+        # ends one: a chain ends where the next one starts, or at the
+        # block's last core unless the next block goes on with it
+        edges = np.empty(core.size + 1, np.bool_)
+        edges[0] = core[0] > prev_reach
+        np.greater(core[1:], reach[:-1], out=edges[1:-1])
+        edges[-1] = True
+        if not edges[0]:
+            lasts[-1] = lasts[-1][:-1]  # the chain goes on from the last block
+        firsts.append(core[edges[:-1]])
+        lasts.append(core[edges[1:]])
+        prev_reach = int(reach[-1])
     if not firsts:
         return np.empty(0, np.int64), np.empty(0, np.int64), 0
     return np.concatenate(firsts), np.concatenate(lasts), cores

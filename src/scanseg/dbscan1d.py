@@ -79,6 +79,13 @@ class DbscanParams:
         if not np.isfinite(self.epsilon) or self.epsilon < 0.0:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         _check_min_points(self.min_points)
+        _check_border_policy(self.border_policy)
+
+
+def _check_border_policy(policy) -> None:
+    """Raise ValueError unless ``policy`` is a :class:`BorderPolicy`."""
+    if not isinstance(policy, BorderPolicy):
+        raise ValueError(f"border_policy must be a BorderPolicy, got {policy!r}")
 
 
 def _check_min_points(min_points) -> None:

@@ -503,6 +503,8 @@ def generate_scan(
     Wall ids are the polygon edge indices the beams geometrically hit,
     regardless of dropout.  Fixed seeds give identical scans.
     """
+    if not isinstance(beams, (int, np.integer)):
+        raise ValueError(f"beams must be an integer, got {beams!r}")
     if beams < 1:
         raise ValueError(f"beams must be >= 1, got {beams}")
     noise = noise if noise is not None else NoiseModel()

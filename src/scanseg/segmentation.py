@@ -25,6 +25,7 @@ from .dbscan1d import (
     CircularDomain,
     DbscanParams,
     OpCounters,
+    _check_border_policy,
     _check_min_points,
     _dbscan_1d_groups,
     _members,
@@ -67,6 +68,7 @@ class SegmentationParams:
         if not np.isfinite(self.epsilon_dist) or self.epsilon_dist <= 0.0:
             raise ValueError(f"epsilon_dist must be > 0, got {self.epsilon_dist}")
         _check_min_points(self.min_points)
+        _check_border_policy(self.border_policy)
 
 
 @dataclass

@@ -562,12 +562,12 @@ class TestCountedPathEquivalence:
             cases += 1
         assert cases == 20_000
 
-    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("block", [2, 7, 64])
     def test_seeded_fuzz_in_small_blocks(self, block, monkeypatch):
-        # every fuzz case fits in one default block; a block of 7 splits
-        # the same cases into several blocks, and one of 64 just holds the
-        # largest of them.  Of the kernels only core_chains still has a
-        # separate one-block path.
+        # every fuzz case fits in one default block; blocks of 2 and 7
+        # split the same cases into several, and one of 64 just holds the
+        # largest of them.  In blocks of 2 most chains cross block edges,
+        # often through blocks with no core or with a chain's only core.
         monkeypatch.setattr(_kernels, "VEC_BLOCK", block)
         cases = 0
         for x, eps, period, mp, policy in fuzz_cases(2_000, seed=17):
@@ -731,8 +731,8 @@ class TestRecluster:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_small_blocks_match_one_block(self, policy, monkeypatch):
-        # the blocked path, on grouped lattice values, against the
-        # one-block path that every case takes by default
+        # blocks of 7, on grouped lattice values, against the one block
+        # that holds every case by default
         rng = np.random.default_rng(23)
         cases = []
         for _ in range(300):
@@ -828,6 +828,12 @@ class TestParams:
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match="min_points must be an integer >= 1"):
                 DbscanParams(1.0, bad)
+
+    def test_border_policy_validation(self):
+        # a policy's value is refused when the params are made, not when
+        # they are first used
+        with pytest.raises(ValueError, match=r"^border_policy must be a BorderPolicy, got 'first'$"):
+            DbscanParams(0.1, 2, "first")
 
     def test_period_validation(self):
         with pytest.raises(ValueError):

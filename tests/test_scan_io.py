@@ -446,6 +446,13 @@ class TestGenerator:
         with pytest.raises(ValueError, match=r"^beams must be >= 1, got 0$"):
             generate_scan(square_room(), 0)
 
+    def test_needs_a_whole_beam_count(self):
+        # refused before any ray is cast; a NumPy integer is a count
+        with pytest.raises(ValueError, match=r"^beams must be an integer, got 2\.5$"):
+            generate_scan(square_room(), 2.5)
+        scan, _ = generate_scan(square_room(), np.int64(3))
+        assert scan.beam_angles.shape == (3,)
+
     def test_unit_square_four_beams(self):
         scan, _ = generate_scan(square_room(side=1.0), 4)
         np.testing.assert_allclose(scan.ranges, 0.5, rtol=0, atol=1e-15)

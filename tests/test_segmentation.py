@@ -188,6 +188,10 @@ class TestDegenerateInputs:
             with pytest.raises(ValueError, match="min_points must be an integer >= 1"):
                 SegmentationParams(0.1, 0.2, bad)
 
+    def test_border_policy_validation(self):
+        with pytest.raises(ValueError, match=r"^border_policy must be a BorderPolicy, got 'all'$"):
+            SegmentationParams(0.1, 0.2, 4, "all")
+
 
 class TestIsolation:
     def test_single_wall_with_isolated_outliers(self):
