@@ -43,7 +43,11 @@ def _cmd_cluster(args) -> int:
     period = args.circular_period if args.circular_period is not None else file_period
     params = DbscanParams(args.epsilon, args.min_points, BorderPolicy(args.border_policy))
     t0 = time.perf_counter_ns()
-    order = np.argsort(values, kind="stable")
+    # the order of equal values is free: bounds, core status, chains and
+    # so cluster ranges depend on the values alone, so every range starts
+    # and ends on a whole run of equal values and equal values get equal
+    # labels, under every policy, on a line and on a ring
+    order = np.argsort(values)
     sorted_values = values[order]
     t1 = time.perf_counter_ns()
     if period is not None:

@@ -43,9 +43,10 @@ The generator ray-casts beams from a sensor pose inside a simple polygon
 and perturbs ranges with seeded multiplicative Gaussian noise; the RNG
 is the 64-bit counter-based Philox generator, so streams are
 reproducible bit for bit across platforms.  Beams are cast in fixed-size
-blocks, each broadcast against all walls, with directions taken from
-math.cos/math.sin one beam at a time; scans are bit-identical to those
-of the earlier one-beam-at-a-time cast.
+blocks, each broadcast against all walls edge-major, one row per wall,
+so that the nearest hit is a reduction along the contiguous beam axis;
+directions are taken from math.cos/math.sin one beam at a time, and
+scans are bit-identical to those of the earlier one-beam-at-a-time cast.
 """
 
 from __future__ import annotations
@@ -431,7 +432,7 @@ class NoiseModel:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
-# beams per broadcast block: bounds the (block, V) temporaries, so peak
+# beams per broadcast block: bounds the (V, block) temporaries, so peak
 # memory does not grow with the beam count
 _BEAM_BLOCK = 4096
 
@@ -442,13 +443,16 @@ def _cast_rays(
     """Distance and edge index of the nearest wall hit of every beam.
 
     Beams go in blocks of _BEAM_BLOCK, each broadcast against all edges
-    with the float expressions of a one-beam-at-a-time cast, in the same
-    operand order, so every range is bit-identical to it.  Directions
+    as a (V, block) array, edge-major, with the float expressions of a
+    one-beam-at-a-time cast, in the same operand order, so every range is
+    bit-identical to it.  The nearest hit and its edge are reductions over
+    the edge rows, which run along the contiguous beam axis.  Directions
     come from math.cos/math.sin per beam, which may differ from numpy's
     vectorized ones in the last ulp.  Ties pick the lowest edge.
     """
-    ax = vertices[:, 0]
-    ay = vertices[:, 1]
+    # (V, 1) columns, so that a block of beams broadcasts to (V, block)
+    ax = vertices[:, :1]
+    ay = vertices[:, 1:]
     ex = np.roll(ax, -1) - ax
     ey = np.roll(ay, -1) - ay
     apx = ax - px
@@ -463,15 +467,17 @@ def _cast_rays(
         for start in range(0, angles.size, _BEAM_BLOCK):
             rows = slice(start, start + _BEAM_BLOCK)
             block = angles[rows].tolist()
-            ux = np.fromiter(map(math.cos, block), np.float64, len(block))[:, None]
-            uy = np.fromiter(map(math.sin, block), np.float64, len(block))[:, None]
+            ux = np.fromiter(map(math.cos, block), np.float64, len(block))
+            uy = np.fromiter(map(math.sin, block), np.float64, len(block))
             denom = ux * ey - uy * ex
             t = t_num / denom
             s = (apx * uy - apy * ux) / denom
             # a zero denom leaves s infinite or NaN, so the s test drops it
             t[~((t > 0.0) & (s >= 0.0) & (s <= 1.0))] = np.inf
-            ranges[rows] = t.min(axis=1)
-            walls[rows] = t.argmin(axis=1)
+            r = t.min(axis=0)
+            ranges[rows] = r
+            # the first edge at the minimum, as argmin picks it
+            walls[rows] = (t == r).argmax(axis=0)
     for k in np.flatnonzero(ranges == np.inf).tolist():
         # the beam runs through a vertex and rounding put its hit just
         # outside both edges that meet there: the vertex is the hit

@@ -11,6 +11,14 @@ Points that survive neither stage are noise.  Stage 2 runs as one
 clustering pass per scan: the distances of all angular clusters go into
 one array, each cluster's run sorted on its own, and the clustering
 kernel keeps every neighborhood inside its run.
+
+Stage 1 sorts by (direction, original index) and stage 2 by (angular
+cluster, distance, original index), both exactly as np.lexsort would.
+Each takes NumPy's default argsort of its key, a SIMD quicksort where
+the CPU has one, which leaves equal keys in no set order, and then sorts
+only the entries of tied runs again (_order); ties are rare, but every
+run end shares its neighbor's direction.  The members of each final
+cluster come out ascending from one sort of unique integer keys.
 """
 
 from __future__ import annotations
@@ -118,9 +126,9 @@ def angular_segmentation(
     if orig.size < params.min_points:
         return []
 
-    # stage 1: cluster by direction on the half-circle; stable sort keyed
-    # by (theta, original index) since orig is already ascending
-    perm = orig[np.argsort(theta[orig], kind="stable")]
+    # stage 1: cluster by direction on the half-circle, sorted by (theta,
+    # original index)
+    perm = orig[_order(orig, theta[orig])]
     theta_sorted = theta[perm]
     stage1 = DbscanParams(params.epsilon_theta, params.min_points, params.border_policy)
     labels1, angular_clusters = dbscan_1d_circular(
@@ -150,16 +158,19 @@ def angular_segmentation(
     unit = np.array(normals)[group]
     dist = scan.x[member_orig] * unit[:, 0] + scan.y[member_orig] * unit[:, 1]
     del member_theta, unit
-    # group is the first sort key and already ascending, so it keeps its order
-    order = np.lexsort((member_orig, dist, group))
+    # group is the first sort key and already ascending, so it keeps its
+    # order; dist is finite, as _order needs, since the overflow check of
+    # estimate_local_angles keeps the coordinates of every point with an
+    # angle below about 6e307
+    order = _order(member_orig, dist, group)
     sub_orig = member_orig[order]
     dist = dist[order]
     del member_orig, order
     stage2 = DbscanParams(params.epsilon_dist, params.min_points, params.border_policy)
     labels2, subclusters = _dbscan_1d_groups(dist, group, stage2, counters=counters)
     spos, sub = _members(labels2, subclusters)
-    member_orig = sub_orig[spos]
-    member_orig = member_orig[np.lexsort((member_orig, sub))]
+    # each subcluster's members ascending, subclusters in order: unique keys
+    member_orig = np.sort(sub * scan.beams + sub_orig[spos]) % scan.beams
     out: list[FeatureCluster] = []
     ends = [0, *np.bincount(sub).cumsum().tolist()]
     for sc, a, b in zip(subclusters, ends, ends[1:]):
@@ -168,6 +179,35 @@ def angular_segmentation(
         if b - a >= params.min_points:
             out.append(FeatureCluster(len(out) + 1, member_orig[a:b], *means[group[sc.lower]]))
     return out
+
+
+def _order(tiebreak: np.ndarray, key: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
+    """np.lexsort((tiebreak, key)), or np.lexsort((tiebreak, key, group)).
+
+    NumPy's default argsort of key, then a stable pass by group if given,
+    puts every entry in place but for the order within runs of tied
+    (group, key), which it leaves arbitrary.  Ties are rare, so only the
+    entries of such runs are sorted again, by the same keys, the tiebreak
+    and last their index, as lexsort's stability has it; they stay in
+    their runs' places.  key must hold no NaN, which is not equal to
+    itself.
+    """
+    order = np.argsort(key)
+    if group is not None:
+        order = order[np.argsort(group[order], kind="stable")]
+    k = key[order]
+    tied = k[1:] == k[:-1]
+    if group is not None:
+        g = group[order]
+        tied &= g[1:] == g[:-1]
+    if tied.any():
+        run = np.zeros(order.size, dtype=bool)
+        run[1:] = tied
+        run[:-1] |= tied
+        sub = order[run]
+        keys = [sub, tiebreak[sub], key[sub]] + ([] if group is None else [group[sub]])
+        order[run] = sub[np.lexsort(keys)]
+    return order
 
 
 def fit_cluster_lines(scan: Scan, clusters: list[FeatureCluster]) -> list[FeatureCluster]:

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 import scanseg
-from scanseg import load_points, load_scan
+from scanseg import (
+    BorderPolicy,
+    CircularDomain,
+    DbscanParams,
+    dbscan_1d,
+    dbscan_1d_circular,
+    load_points,
+    load_scan,
+)
 from scanseg.cli import main
 
 SRC = os.path.dirname(os.path.dirname(scanseg.__file__))
@@ -204,6 +212,57 @@ def test_golden_bytes(tmp_path, capsys):
         "cluster": cluster.encode(),
     }
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == GOLDEN
+
+
+def stable_cluster_text(values, epsilon, min_points, policy, period):
+    """What scanseg cluster writes, from a sort that keeps equal values in
+    file order."""
+    order = np.argsort(values, kind="stable")
+    params = DbscanParams(epsilon, min_points, BorderPolicy(policy))
+    if period is None:
+        labels, clusters = dbscan_1d(values[order], params)
+    else:
+        labels, clusters = dbscan_1d_circular(values[order], params, CircularDomain(period))
+    original = np.empty_like(labels)
+    original[order] = labels
+    rows = [f"{v!r}\t{label}\n" for v, label in zip(values.tolist(), original.tolist())]
+    rows += [f"# cluster id={c.id} lower={c.lower} upper={c.upper} size={c.size}\n" for c in clusters]
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("period", [None, 1.0])
+def test_cluster_bytes_do_not_hang_on_tie_order(tmp_path, capsys, period):
+    """scanseg cluster sorts without keeping equal values in order: on
+    long duplicate runs, a mix of -0.0 and 0.0 and a border run contested
+    by two clusters, every policy writes the bytes of a stable sort."""
+    q = 2.0**-10  # a grid step that makes every value and epsilon exact
+    rng = np.random.Generator(np.random.Philox(29))
+    # runs on random grid points away from the seam and from 502 q, then
+    # 40 zeros, a run at 1023 q that the ring chains to them across the
+    # seam, and a border run at 502 q that two clusters contest: 500 q and
+    # 504 q are cores, 502 q sees 5 < min_points values
+    grid = np.concatenate((np.arange(8, 470), np.arange(540, 1010)))
+    steps = [*rng.choice(grid, 150, replace=False), 0, 1023, 496, 498, 500, 502, 504, 506, 508]
+    counts = [*rng.integers(1, 60, 150), 40, 30, 10, 10, 1, 3, 1, 10, 10]
+    values = np.repeat(q * np.array(steps, dtype=np.float64), counts)
+    zeros = values == 0.0
+    values[zeros] *= rng.choice([-1.0, 1.0], int(zeros.sum()))
+    values = rng.permutation(values)
+    path = write(tmp_path / "points.txt", "".join(f"{v!r}\n" for v in values.tolist()))
+    # the sort really leaves ties in another order than the stable one
+    assert not np.array_equal(np.argsort(values), np.argsort(values, kind="stable"))
+
+    args = ["cluster", path, "--epsilon", repr(2 * q), "--min-points", "6"]
+    if period is not None:
+        args += ["--circular-period", repr(period)]
+    texts = set()
+    for policy in BorderPolicy:
+        assert main([*args, "--border-policy", policy.value]) == 0
+        text = capsys.readouterr().out
+        assert text == stable_cluster_text(values, 2 * q, 6, policy.value, period)
+        texts.add(text)
+    assert len(texts) == 3
+    assert "\n-0.0\t" in text and "\n0.0\t" in text
 
 
 class TestSegment:

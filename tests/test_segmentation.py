@@ -1,7 +1,10 @@
 """Two-stage scan segmentation: angle clustering then distance splitting."""
 
+import dis
 import hashlib
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,9 @@ from scanseg import (
     signed_distance_to_origin_line,
     wrap_angle,
 )
+import scanseg
+from scanseg import segmentation
+from scanseg.segmentation import _order
 from geometry_reference import reference_circular_mean, reference_tls_fit
 
 PARAMS = SegmentationParams(0.1, 0.2, 16)
@@ -368,10 +374,10 @@ def reference_angular_segmentation(scan, params, *, counters=None):
     return out
 
 
-def exact_scan(x, y, valid):
+def exact_scan(x, y, valid, full_circle=False):
     """A scan whose cartesian returns are exactly x and y (from_xy would
     round them through polar form)."""
-    scan = Scan.from_xy(x, y, valid, full_circle=False)
+    scan = Scan.from_xy(x, y, valid, full_circle=full_circle)
     object.__setattr__(scan, "x", np.asarray(x, dtype=np.float64))
     object.__setattr__(scan, "y", np.asarray(y, dtype=np.float64))
     return scan
@@ -532,6 +538,44 @@ class TestStage2MatchesReference:
         )
         assert len(stage1) == 1
 
+    @pytest.mark.parametrize("full_circle", [True, False])
+    @pytest.mark.parametrize("step", [1e-3, 1e-2])
+    @pytest.mark.parametrize("policy", list(BorderPolicy))
+    def test_rounded_scans(self, monkeypatch, policy, step, full_circle):
+        """Square-room scans as a sensor that reports whole millimetres or
+        centimetres gives them, so that keys tie.  Rounding the ranges of
+        noisy scans ties only local angles (a run end shares its
+        neighbour's); rounding the coordinates of noise-free scans in the
+        axis-aligned room puts each wall's points on one grid line, and so
+        ties stage-2 distances too."""
+        ties = {"angle": 0, "distance": 0}
+
+        def counting_order(tiebreak, key, group=None):
+            runs = np.lexsort((key, group)) if group is not None else np.argsort(key)
+            k = key[runs]
+            tied = k[1:] == k[:-1]
+            if group is not None:
+                tied &= group[runs][1:] == group[runs][:-1]
+            ties["angle" if group is None else "distance"] += int(tied.sum())
+            return _order(tiebreak, key, group)
+
+        monkeypatch.setattr(segmentation, "_order", counting_order)
+        rng = np.random.Generator(np.random.Philox(31))
+        params = SegmentationParams(0.1, 0.2, 16, policy)
+        for k in range(4):
+            # a sensor on the centimetre grid keeps the walls on grid lines
+            sensor = (*(rng.integers(-50, 51, 2) / 100.0), rng.uniform(0.0, 2.0 * math.pi))
+            room = RoomModel(GOLDEN_ROOMS[0], sensor)
+            noisy, _ = generate_scan(room, 360, NoiseModel(0.01, 0.05, k))
+            ranges = np.round(noisy.ranges / step) * step
+            assert_same_as_reference(
+                Scan(noisy.beam_angles, ranges, noisy.valid, full_circle), params
+            )
+            clean, _ = generate_scan(room, 360, NoiseModel(0.0, 0.05, k))
+            x, y = (np.round(c / step) * step for c in (clean.x, clean.y))
+            assert_same_as_reference(exact_scan(x, y, clean.valid, full_circle), params)
+        assert ties["angle"] > 0 and ties["distance"] > 0
+
     def test_group_below_min_points(self):
         """Under AS_NOISE an angular cluster can hold fewer than min_points
         points: three runs at directions 0.05 apart, where only the middle
@@ -608,3 +652,139 @@ def test_golden_segmentation():
     text = golden_segmentation_text()
     assert " True " in text
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SEGMENTATION
+
+
+# -- the stage orders ------------------------------------------------------
+#
+# _order must give np.lexsort's order, whatever order NumPy's default
+# argsort (a SIMD quicksort where the CPU has one) leaves ties in.  Its
+# keys are never NaN in angular_segmentation: theta is taken only where it
+# is finite, and the overflow check of estimate_local_angles refuses any
+# window with coordinates of about 6e307 or more, so every member's
+# coordinates lie below that and dist = x * cos + y * sin stays finite.
+
+ORDER_VALUES = [-np.inf, -1.5, -0.0, 0.0, 0.25, 1.0, np.inf]
+
+
+def assert_orders_like_lexsort(tiebreak, key, group=None):
+    want = np.lexsort((tiebreak, key) if group is None else (tiebreak, key, group))
+    assert _order(tiebreak, key, group).tolist() == want.tolist()
+
+
+class TestOrder:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 340, 5000])
+    def test_seeded(self, n):
+        rng = np.random.Generator(np.random.Philox(n))
+        keys = [
+            np.floor(4.0 * rng.normal(size=n)) / 4.0,  # quantized
+            np.zeros(n),  # all equal
+            rng.choice(ORDER_VALUES, n),  # signed zeros and infinities
+            rng.random(n),  # ties unlikely
+        ]
+        groups = [
+            None,
+            np.sort(rng.integers(0, max(n // 8, 1), n)),  # runs, as stage 2 has them
+            rng.integers(0, 3, n),  # unsorted
+            np.arange(n),  # groups of one
+        ]
+        for key in keys:
+            for group in groups:
+                assert_orders_like_lexsort(rng.permutation(n), key, group)
+                assert_orders_like_lexsort(np.zeros(n, dtype=np.int64), key, group)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_drawn(self, data):
+        key = np.array(
+            data.draw(st.lists(st.sampled_from(ORDER_VALUES) | st.floats(allow_nan=False)))
+        )
+        n = key.size
+        tiebreak = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+        group = data.draw(
+            st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n).map(np.array)
+        )
+        assert_orders_like_lexsort(tiebreak, key, group)
+
+
+# -- per-call cost ---------------------------------------------------------
+#
+# A 360-beam operation costs about as much per call as per value, so its
+# calls out of the package are pinned here, the way the tracemalloc bounds
+# pin memory: a change may lower the bound, never raise it.  The count
+# reads the package's own bytecode: each call instruction that one of its
+# frames runs counts, unless it enters a Python function of the package.
+# What the callee does counts no further, so NumPy's internals do not move
+# the number.  (sys.setprofile events would: NumPy's array-function
+# dispatch raises two "call" events for np.argsort, and a ufunc none.)
+
+_PACKAGE = os.path.dirname(scanseg.__file__) + os.sep
+_CALL_OPS = {
+    dis.opmap[name]
+    for name in ("CALL", "CALL_FUNCTION", "CALL_FUNCTION_KW", "CALL_FUNCTION_EX", "CALL_METHOD")
+    if name in dis.opmap
+}
+# calls out of the package by 20 seed-1 scans-360 operations
+SCANS_360_OUTSIDE_CALLS = 5927
+
+
+def outside_calls(fn) -> int:
+    """Call instructions that package frames run while fn runs, less
+    those that enter a Python function of the package."""
+    calls = 0
+    caller = None  # the package frame whose call instruction just ran
+
+    def local(frame, event, arg):
+        nonlocal calls, caller
+        if event == "opcode":
+            caller = None
+            if frame.f_code.co_code[frame.f_lasti] in _CALL_OPS:
+                calls += 1
+                caller = frame
+        return local
+
+    def start(frame, event, arg):
+        nonlocal calls, caller
+        inside = frame.f_code.co_filename.startswith(_PACKAGE)
+        if inside and frame.f_back is caller:
+            calls -= 1
+        caller = None
+        if inside:
+            frame.f_trace_opcodes = True
+            return local
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(start)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return calls
+
+
+def scans_360(seed, count):
+    """The first scans of the scans-360 benchmark workload for a seed."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 2]))
+    scans = []
+    for _ in range(count):
+        phi = rng.uniform(0.0, 0.5 * math.pi)
+        c, s = math.cos(phi), math.sin(phi)
+        verts = GOLDEN_ROOMS[0] @ np.array([[c, s], [-s, c]])
+        px, py = rng.uniform(-0.5, 0.5, 2)
+        heading = rng.uniform(0.0, 2.0 * math.pi)
+        noise = NoiseModel(0.01, 0.05, int(rng.integers(2**63)))
+        scans.append(generate_scan(RoomModel(verts, (px, py, heading)), 360, noise)[0])
+    return scans
+
+
+def test_scans_360_outside_calls():
+    scans = scans_360(1, 20)
+
+    def run():
+        for scan in scans:
+            fit_cluster_lines(scan, angular_segmentation(scan, PARAMS))
+
+    run()
+    calls = outside_calls(run)
+    assert calls == outside_calls(run)
+    assert calls <= SCANS_360_OUTSIDE_CALLS
