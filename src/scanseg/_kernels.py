@@ -197,7 +197,8 @@ def core_chains(lower, upper, min_points):
             continue
         cores += core.size
         reach = up[core]
-        core += a
+        if a:
+            core += a
         # edges[i] says that core i starts a chain, edges[i + 1] that it
         # ends one: a chain ends where the next one starts, or at the
         # block's last core unless the next block goes on with it
@@ -210,6 +211,8 @@ def core_chains(lower, upper, min_points):
         firsts.append(core[edges[:-1]])
         lasts.append(core[edges[1:]])
         prev_reach = int(reach[-1])
+    if len(firsts) == 1:
+        return firsts[0], lasts[0], cores
     if not firsts:
         return np.empty(0, np.int64), np.empty(0, np.int64), 0
     return np.concatenate(firsts), np.concatenate(lasts), cores

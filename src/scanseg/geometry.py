@@ -127,6 +127,18 @@ def tls_fit(points) -> PolarLine:
     sxx = float(np.add.reduce(dx * dx))
     syy = float(np.add.reduce(dy * dy))
     sxy = float(np.add.reduce(dx * dy))
+    return _line_from_moments(cx, cy, sxx, syy, sxy)
+
+
+def _line_from_moments(cx: float, cy: float, sxx: float, syy: float, sxy: float) -> PolarLine:
+    """tls_fit's line from the centroid and the centered second moments.
+
+    The scalar tail of tls_fit, shared with segmentation.fit_cluster_lines,
+    which takes the sums of many clusters at once: one copy of the math
+    and of its messages.  Raises DegenerateFitError and
+    OrientationUndefinedError as tls_fit documents, and ValueError (from
+    PolarLine) when the line is not finite.
+    """
     spread = sxx + syy
     if spread <= 0.0:
         raise DegenerateFitError("all points coincide")
@@ -171,13 +183,21 @@ def circular_mean(angles, period: float = TWO_PI) -> float:
         raise ValueError(f"period must be finite and > 0, got {period}")
     if not in_range:
         raise ValueError(f"angles must lie in [0, {period!r})")
-    scale = TWO_PI / period
-    a = a * scale
-    c = float(np.cos(a).sum())
-    s = float(np.sin(a).sum())
-    if math.hypot(c, s) <= RESULTANT_TOL * a.size:
+    a = a * (TWO_PI / period)
+    return _mean_from_sums(float(np.cos(a).sum()), float(np.sin(a).sum()), a.size, period)
+
+
+def _mean_from_sums(c: float, s: float, n: int, period: float) -> float:
+    """circular_mean's result from the cosine and sine sums of n angles.
+
+    The angles are scaled by 2 pi / period before their cosines and sines
+    are taken.  The scalar tail of circular_mean, shared with
+    segmentation, which takes the sums of many clusters at once.  Raises
+    UndefinedMeanError as circular_mean documents.
+    """
+    if math.hypot(c, s) <= RESULTANT_TOL * n:
         raise UndefinedMeanError("resultant vanishes, circular mean undefined")
-    return wrap_angle(math.atan2(s, c) / scale, period)
+    return wrap_angle(math.atan2(s, c) / (TWO_PI / period), period)
 
 
 def _principal_directions(sxx, syy, sxy) -> np.ndarray:

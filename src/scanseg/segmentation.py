@@ -12,17 +12,26 @@ clustering pass per scan: the distances of all angular clusters go into
 one array, each cluster's run sorted on its own, and the clustering
 kernel keeps every neighborhood inside its run.
 
-Stage 1 sorts by (direction, original index) and stage 2 by (angular
-cluster, distance, original index), both exactly as np.lexsort would.
-Each takes NumPy's default argsort of its key, a SIMD quicksort where
-the CPU has one, which leaves equal keys in no set order, and then sorts
-only the entries of tied runs again (_order); ties are rare, but every
-run end shares its neighbor's direction.  The members of each final
-cluster come out ascending from one sort of unique integer keys.
+Both stages sort with NumPy's default argsort of their key, a SIMD
+quicksort where the CPU has one, and stage 2 then takes a stable pass by
+angular cluster (_order).  Equal keys come out in no set order, and no
+result can tell: the bounds, cores, chains and ranges of the clustering
+depend on the key values alone, so every cluster is a union of whole
+runs of equal keys; each sum over a cluster's members meets the same
+values in the same order; and the members of each final cluster come out
+ascending from one sort of unique integer keys.  The one tie of unequal
+bits would be a signed zero: theta is never -0.0, and a -0.0 distance
+passes every neighborhood check as 0.0 does and is never output.
+
+The circular means and the TLS fits take each cluster's sums as one
+row reduction of its columns in an array of all members (_cluster_means,
+_fit_block), NumPy's pairwise sum as circular_mean and tls_fit take it,
+so they keep those functions' bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,13 +54,19 @@ from .geometry import (
     InsufficientDataError,
     OrientationUndefinedError,
     PolarLine,
+    TWO_PI,
     UndefinedMeanError,
+    _line_from_moments,
+    _mean_from_sums,
     circular_mean,
     estimate_local_angles,
     tls_fit,
     wrap_angle,
 )
 from .scan import Scan
+
+# Cluster members whose coordinates fit_cluster_lines gathers at once.
+_FIT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -126,10 +141,11 @@ def angular_segmentation(
     if orig.size < params.min_points:
         return []
 
-    # stage 1: cluster by direction on the half-circle, sorted by (theta,
-    # original index)
-    perm = orig[_order(orig, theta[orig])]
+    # stage 1: cluster by direction on the half-circle
+    perm = orig[_order(theta[orig])]
     theta_sorted = theta[perm]
+    # free megabytes on a large scan before the clustering adds its own
+    del theta, orig
     stage1 = DbscanParams(params.epsilon_theta, params.min_points, params.border_policy)
     labels1, angular_clusters = dbscan_1d_circular(
         theta_sorted, stage1, CircularDomain(math.pi), counters=counters
@@ -137,32 +153,24 @@ def angular_segmentation(
 
     # stage 2: within each angular cluster, recluster by signed distance
     # to the through-origin line at the mean direction; all clusters in one
-    # pass, each sorted by (distance, original index) in its own run
+    # pass, each sorted by distance in its own run
     if not angular_clusters:
         return []
     pos, group = _members(labels1, angular_clusters)
     member_theta = theta_sorted[pos]
     member_orig = perm[pos]
-    # free megabytes on a large scan before the steps below add their own
-    del theta, orig, perm, theta_sorted, labels1, pos
-    means, normals = [], []
-    ends = [0, *np.bincount(group).cumsum().tolist()]
-    for a, b in zip(ends, ends[1:]):
-        try:
-            means.append((circular_mean(member_theta[a:b], math.pi), False))
-        except UndefinedMeanError:
-            means.append((float(member_theta[(a + b) // 2]), True))
-        normal = wrap_angle(means[-1][0] + 0.5 * math.pi)
-        normals.append((math.cos(normal), math.sin(normal)))
+    del perm, theta_sorted, labels1, pos
+    means = _cluster_means(member_theta, [0, *np.bincount(group).cumsum().tolist()])
+    normals = [wrap_angle(mean + 0.5 * math.pi) for mean, _ in means]
     # the products of signed_distance_to_origin_line, for all members at once
-    unit = np.array(normals)[group]
+    unit = np.array([(math.cos(t), math.sin(t)) for t in normals])[group]
     dist = scan.x[member_orig] * unit[:, 0] + scan.y[member_orig] * unit[:, 1]
     del member_theta, unit
-    # group is the first sort key and already ascending, so it keeps its
-    # order; dist is finite, as _order needs, since the overflow check of
+    # group is already ascending, so each cluster keeps its run; dist is
+    # finite, as _order needs, since the overflow check of
     # estimate_local_angles keeps the coordinates of every point with an
     # angle below about 6e307
-    order = _order(member_orig, dist, group)
+    order = _order(dist, group)
     sub_orig = member_orig[order]
     dist = dist[order]
     del member_orig, order
@@ -181,47 +189,112 @@ def angular_segmentation(
     return out
 
 
-def _order(tiebreak: np.ndarray, key: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
-    """np.lexsort((tiebreak, key)), or np.lexsort((tiebreak, key, group)).
+def _order(key: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
+    """An order that sorts key, within runs of group if given.
 
-    NumPy's default argsort of key, then a stable pass by group if given,
-    puts every entry in place but for the order within runs of tied
-    (group, key), which it leaves arbitrary.  Ties are rare, so only the
-    entries of such runs are sorted again, by the same keys, the tiebreak
-    and last their index, as lexsort's stability has it; they stay in
-    their runs' places.  key must hold no NaN, which is not equal to
-    itself.
+    NumPy's default argsort of key, a SIMD quicksort where the CPU has
+    one, then a stable pass by group.  Entries with equal (group, key)
+    come out in no set order, which no result of angular_segmentation
+    can see (see the module docstring).  key must hold no NaN.
     """
     order = np.argsort(key)
     if group is not None:
         order = order[np.argsort(group[order], kind="stable")]
-    k = key[order]
-    tied = k[1:] == k[:-1]
-    if group is not None:
-        g = group[order]
-        tied &= g[1:] == g[:-1]
-    if tied.any():
-        run = np.zeros(order.size, dtype=bool)
-        run[1:] = tied
-        run[:-1] |= tied
-        sub = order[run]
-        keys = [sub, tiebreak[sub], key[sub]] + ([] if group is None else [group[sub]])
-        order[run] = sub[np.lexsort(keys)]
     return order
+
+
+def _cluster_means(theta: np.ndarray, ends: list[int]) -> list[tuple[float, bool]]:
+    """(circular mean on the half-circle, fallback) of each theta[a:b].
+
+    a and b are consecutive entries of ends.  The cosines and sines of
+    all angles fill the rows of one (2, m) array.  Where a mean is
+    undefined, circular_mean runs on the cluster and raises, and the
+    median member's angle stands in (fallback True).
+    """
+    cs = np.empty((2, theta.size))
+    # circular_mean's scaling to the full circle
+    np.multiply(theta, TWO_PI / math.pi, out=cs[0])
+    np.sin(cs[0], out=cs[1])
+    np.cos(cs[0], out=cs[0])
+    means = []
+    for a, b in zip(ends, ends[1:]):
+        c, s = np.add.reduce(cs[:, a:b], axis=1).tolist()
+        try:
+            try:
+                mean = _mean_from_sums(c, s, b - a, math.pi)
+            except UndefinedMeanError:
+                # so that the failure passes through the module's name for
+                # circular_mean, where a caller can observe it
+                mean = circular_mean(theta[a:b], math.pi)
+            means.append((mean, False))
+        except UndefinedMeanError:
+            means.append((float(theta[(a + b) // 2]), True))
+    return means
 
 
 def fit_cluster_lines(scan: Scan, clusters: list[FeatureCluster]) -> list[FeatureCluster]:
     """Fit a total least squares line to each cluster's member points.
 
     Mutates the clusters: fitted_line on success, fit_error (cluster
-    retained, no line) when the member geometry is degenerate.
+    retained, no line) when the member geometry is degenerate.  Each line
+    has the bits tls_fit gives for the cluster's points, in the order of
+    its point_indices.  Consecutive clusters are fitted together, up to
+    _FIT_BLOCK members at a time (a larger cluster alone).
     """
-    for c in clusters:
-        pts = np.empty((c.size, 2))
-        pts[:, 0] = scan.x[c.point_indices]
-        pts[:, 1] = scan.y[c.point_indices]
+    lo = size = 0
+    for hi, c in enumerate(clusters):
+        if size + c.size > _FIT_BLOCK and hi > lo:
+            _fit_block(scan, clusters[lo:hi])
+            lo, size = hi, 0
+        size += c.size
+    if clusters:
+        _fit_block(scan, clusters[lo:])
+    return clusters
+
+
+def _fit_block(scan: Scan, block: list[FeatureCluster]) -> None:
+    """fit_cluster_lines for clusters whose members are gathered at once.
+
+    The first two rows of one (3, m) array take the members' coordinates,
+    each cluster in its own columns, and lose each cluster's centroid;
+    then the rows become dx * dx, dy * dy and dx * dy.  A cluster whose
+    line fails, or whose sums are not finite, runs through tls_fit on its
+    points, which raises what it raises for them.
+    """
+    # one cluster's indices are used as they are, so that a cluster above
+    # _FIT_BLOCK members costs no more memory than tls_fit on its points
+    idx = block[0].point_indices
+    if len(block) > 1:
+        idx = np.concatenate([c.point_indices for c in block])
+    w = np.empty((3, idx.size))
+    w[0] = scan.x[idx]
+    w[1] = scan.y[idx]
+    del idx
+    ends = [0, *itertools.accumulate(c.size for c in block)]
+    centers = []
+    for a, b in zip(ends, ends[1:]):
+        # tls_fit's centroid; an empty cluster's (0, 0) stands in for none
+        sx, sy = np.add.reduce(w[:2, a:b], axis=1).tolist()
+        n = max(b - a, 1)
+        cx, cy = sx / n, sy / n
+        w[0, a:b] -= cx
+        w[1, a:b] -= cy
+        centers.append((cx, cy))
+    np.multiply(w[0], w[1], out=w[2])
+    np.multiply(w[:2], w[:2], out=w[:2])
+    for c, (cx, cy), a, b in zip(block, centers, ends, ends[1:]):
+        sxx, syy, sxy = np.add.reduce(w[:, a:b], axis=1).tolist()
+        if math.isfinite(cx + cy + sxx + syy + sxy):
+            try:
+                c.fitted_line = _line_from_moments(cx, cy, sxx, syy, sxy)
+                continue
+            except ValueError:
+                pass
+        # the fit fails (below two members the moments are 0 and the line
+        # degenerate): tls_fit runs on the points and raises, through the
+        # module's name for it, where a caller can observe the failure
         try:
-            c.fitted_line = tls_fit(pts)
+            idx = c.point_indices
+            c.fitted_line = tls_fit(np.column_stack((scan.x[idx], scan.y[idx])))
         except (DegenerateFitError, OrientationUndefinedError, InsufficientDataError) as e:
             c.fit_error = str(e)
-    return clusters

@@ -1,10 +1,13 @@
 """Two-stage scan segmentation: angle clustering then distance splitting."""
 
+import collections
 import dis
 import hashlib
 import math
 import os
 import sys
+import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -25,18 +28,21 @@ from scanseg import (
     SegmentationParams,
     UndefinedMeanError,
     angular_segmentation,
+    circular_mean as circular_mean_fn,
     dbscan_1d,
     dbscan_1d_circular,
     estimate_local_angles,
     fit_cluster_lines,
     generate_scan,
     signed_distance_to_origin_line,
+    tls_fit as tls_fit_fn,
     wrap_angle,
 )
 import scanseg
 from scanseg import segmentation
 from scanseg.segmentation import _order
 from geometry_reference import reference_circular_mean, reference_tls_fit
+import fit_sweep
 
 PARAMS = SegmentationParams(0.1, 0.2, 16)
 
@@ -303,6 +309,156 @@ class TestLineFitting:
         assert "point" in cluster.fit_error
 
 
+# -- the whole-scan cluster tail -------------------------------------------
+#
+# angular_segmentation takes every circular mean, and fit_cluster_lines
+# every line, from sums over one array of all members (per block of
+# clusters for the fits).  Each must keep the bits of circular_mean and
+# tls_fit run on the cluster alone, and each failure must pass through
+# those names, where perfbench counts mean fallbacks and fit failures.
+
+
+@st.composite
+def fit_partitions(draw):
+    """(scan, clusters): clusters of 1-300 points of every fit_sweep kind
+    at every offset and scale, their points at random beams."""
+    spec = st.tuples(
+        st.sampled_from(fit_sweep.FIT_KINDS),
+        st.integers(1, 300),
+        st.sampled_from(fit_sweep.OFFSETS),
+        st.sampled_from(fit_sweep.SCALES),
+    )
+    specs = draw(st.lists(spec, min_size=1, max_size=12))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    return fit_sweep.partition_scan(rng, specs)
+
+
+@st.composite
+def direction_runs(draw):
+    """(theta, ends): runs of 1-300 directions of every fit_sweep kind."""
+    run = st.tuples(st.sampled_from(fit_sweep.MEAN_KINDS), st.integers(1, 300))
+    runs = draw(st.lists(run, min_size=1, max_size=12))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    theta = np.concatenate([fit_sweep.direction_run(rng, kind, n) for kind, n in runs])
+    return theta, [0, *np.cumsum([n for _, n in runs]).tolist()]
+
+
+class TestWholeScanTail:
+    # blocks of one member put each cluster in a block of its own
+    @pytest.mark.parametrize("block", [1, 64, segmentation._FIT_BLOCK])
+    @settings(max_examples=60)
+    @given(case=fit_partitions())
+    def test_fits_match_tls_fit(self, block, case):
+        with unittest.mock.patch.object(segmentation, "_FIT_BLOCK", block):
+            assert fit_sweep.fit_mismatch(*case) is None
+
+    def test_empty_cluster_keeps_tls_fit_error(self):
+        scan = Scan.from_xy(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 0.5]))
+        members = ([0, 1, 2], [], [2])
+        clusters = [FeatureCluster(k, np.array(i, np.int64), 0.0) for k, i in enumerate(members)]
+        fit_cluster_lines(scan, clusters)
+        assert clusters[0].fitted_line is not None
+        assert [c.fit_error for c in clusters[1:]] == ["line fit needs at least 2 points"] * 2
+
+    @settings(max_examples=200)
+    @given(direction_runs())
+    def test_means_match_circular_mean(self, case):
+        assert fit_sweep.mean_mismatch(*case) is None
+
+    def test_median_fallback(self):
+        # 0 and pi / 2 are opposite on the full circle (scale 2)
+        theta = np.array([0.3, 0.0, 0.5 * math.pi, 1.0, 1.0])
+        means = segmentation._cluster_means(theta, [0, 1, 3, 5])
+        assert means == [(0.3, False), (0.5 * math.pi, True), (1.0, False)]
+
+    def test_failures_pass_through_module_names(self, monkeypatch):
+        """Each failed mean and fit raises once through
+        segmentation.circular_mean and segmentation.tls_fit, and nothing
+        else calls them."""
+        calls, raised = collections.Counter(), collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                try:
+                    return fn(*args)
+                except ValueError:
+                    raised[name] += 1
+                    raise
+
+            return wrapper
+
+        monkeypatch.setattr(segmentation, "circular_mean", counted("mean", circular_mean_fn))
+        monkeypatch.setattr(segmentation, "tls_fit", counted("fit", tls_fit_fn))
+        theta = np.array([0.0, 0.5 * math.pi, 1.0, 1.0, 0.2, 0.2 + 0.5 * math.pi])
+        means = segmentation._cluster_means(theta, [0, 2, 4, 6])
+        assert [f for _, f in means] == [True, False, True]
+        # coincident, fitted, square corners (isotropic), one point
+        scan = Scan.from_xy(
+            np.array([1.0, 1.0, 2.0, 3.0, 1.0, -1.0, -1.0, 1.0]),
+            np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0, -1.0, -1.0]),
+        )
+        members = ([0, 1], [1, 2, 3], [4, 5, 6, 7], [3])
+        clusters = [FeatureCluster(k, np.array(idx), 0.0) for k, idx in enumerate(members)]
+        fit_cluster_lines(scan, clusters)
+        assert [c.fit_error is None for c in clusters] == [False, True, False, False]
+        assert calls == raised == {"mean": 2, "fit": 3}
+
+    def test_numpy_row_reduction_is_per_row_pairwise_sum(self):
+        """The bits of every whole-scan mean and fit rest on two NumPy
+        identities, pinned here so that a NumPy that breaks them fails by
+        name: np.add.reduce over axis 1 of a C-contiguous (k, m) slice sums
+        each row as np.add.reduce sums it alone, contiguous or strided (the
+        columns of tls_fit's (n, 2) points); and np.cos and np.sin of a
+        slice give the bits of the same slice of the whole result.
+        (np.add.reduceat would not do: it sums each segment in sequence,
+        not pairwise.)"""
+        rng = np.random.Generator(np.random.Philox(43))
+        for n in (1, 2, 7, 8, 9, 127, 128, 129, 1000, 8191, 8192, 8193, 30000):
+            w = rng.normal(size=(3, n + 10)) * 10.0 ** rng.integers(-5, 6, (3, 1))
+            for a in (0, 3):
+                rows = np.add.reduce(w[:, a : a + n], axis=1)
+                pts = np.ascontiguousarray(w[:2, a : a + n].T)
+                for r in range(3):
+                    assert rows[r] == np.add.reduce(w[r, a : a + n].copy())
+                for r in range(2):
+                    assert rows[r] == np.add.reduce(pts[:, r])
+            t = rng.uniform(0.0, 2.0 * math.pi, n + 10)
+            for f in (np.cos, np.sin):
+                assert f(t)[3 : 3 + n].tobytes() == f(t[3 : 3 + n]).tobytes()
+
+    def test_fit_sweep_sample(self):
+        """A sample of the large sweep CI runs (tests/fit_sweep.py)."""
+        seen, bad = fit_sweep.sweep(300, seed=19)
+        assert bad is None
+        # the sample reaches every fit outcome and the mean fallback
+        assert len(seen) == 6
+
+
+def test_large_scan_peak_memory():
+    """On the 1e5-beam scan of the first seed-1 cli-roundtrip operation,
+    the tracemalloc peaks stay at most those of per-cluster fits and stage
+    sorts with a tie pass: 7.16 MB for angular_segmentation (now 7.06,
+    in stage 2's clustering) and 1.16 MB for fit_cluster_lines (now 0.92,
+    a cluster above _FIT_BLOCK members gathered alone)."""
+    noise = NoiseModel(1e-6, 0.02, 1_000_003)
+    scan, _ = generate_scan(RoomModel(GOLDEN_ROOMS[1]), 100_000, noise)
+    params = SegmentationParams(0.1, 0.05, 16)
+    clusters = angular_segmentation(scan, params)
+    assert max(c.size for c in clusters) > segmentation._FIT_BLOCK
+    for fn, bound in (
+        (lambda: angular_segmentation(scan, params), 7_160_000),
+        (lambda: fit_cluster_lines(scan, clusters), 1_160_000),
+    ):
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
 # -- the per-cluster stage 2 as reference ---------------------------------
 #
 # angular_segmentation used to run stage 2 as one clustering call per
@@ -550,30 +706,16 @@ class TestStage2MatchesReference:
         ties stage-2 distances too."""
         ties = {"angle": 0, "distance": 0}
 
-        def counting_order(tiebreak, key, group=None):
-            runs = np.lexsort((key, group)) if group is not None else np.argsort(key)
-            k = key[runs]
-            tied = k[1:] == k[:-1]
-            if group is not None:
-                tied &= group[runs][1:] == group[runs][:-1]
+        def counting_order(key, group=None):
+            order = _order(key, group)
+            tied = tied_neighbours(order, key, group)
             ties["angle" if group is None else "distance"] += int(tied.sum())
-            return _order(tiebreak, key, group)
+            return order
 
         monkeypatch.setattr(segmentation, "_order", counting_order)
-        rng = np.random.Generator(np.random.Philox(31))
         params = SegmentationParams(0.1, 0.2, 16, policy)
-        for k in range(4):
-            # a sensor on the centimetre grid keeps the walls on grid lines
-            sensor = (*(rng.integers(-50, 51, 2) / 100.0), rng.uniform(0.0, 2.0 * math.pi))
-            room = RoomModel(GOLDEN_ROOMS[0], sensor)
-            noisy, _ = generate_scan(room, 360, NoiseModel(0.01, 0.05, k))
-            ranges = np.round(noisy.ranges / step) * step
-            assert_same_as_reference(
-                Scan(noisy.beam_angles, ranges, noisy.valid, full_circle), params
-            )
-            clean, _ = generate_scan(room, 360, NoiseModel(0.0, 0.05, k))
-            x, y = (np.round(c / step) * step for c in (clean.x, clean.y))
-            assert_same_as_reference(exact_scan(x, y, clean.valid, full_circle), params)
+        for scan in rounded_scans(step, full_circle):
+            assert_same_as_reference(scan, params)
         assert ties["angle"] > 0 and ties["distance"] > 0
 
     def test_group_below_min_points(self):
@@ -654,56 +796,113 @@ def test_golden_segmentation():
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SEGMENTATION
 
 
+def rounded_scans(step, full_circle):
+    """Square-room scans with ranges (noisy scans) or coordinates
+    (noise-free ones) rounded to a grid of step, as in test_rounded_scans."""
+    rng = np.random.Generator(np.random.Philox(31))
+    for k in range(4):
+        # a sensor on the centimetre grid keeps the walls on grid lines
+        sensor = (*(rng.integers(-50, 51, 2) / 100.0), rng.uniform(0.0, 2.0 * math.pi))
+        room = RoomModel(GOLDEN_ROOMS[0], sensor)
+        noisy, _ = generate_scan(room, 360, NoiseModel(0.01, 0.05, k))
+        ranges = np.round(noisy.ranges / step) * step
+        yield Scan(noisy.beam_angles, ranges, noisy.valid, full_circle)
+        clean, _ = generate_scan(room, 360, NoiseModel(0.0, 0.05, k))
+        x, y = (np.round(c / step) * step for c in (clean.x, clean.y))
+        yield exact_scan(x, y, clean.valid, full_circle)
+
+
+def tied_neighbours(order, key, group=None):
+    """tied[i]: entries i and i + 1 of the order have equal (group, key)."""
+    k = key[order]
+    tied = k[1:] == k[:-1]
+    if group is not None:
+        tied &= group[order][1:] == group[order][:-1]
+    return tied
+
+
 # -- the stage orders ------------------------------------------------------
 #
-# _order must give np.lexsort's order, whatever order NumPy's default
-# argsort (a SIMD quicksort where the CPU has one) leaves ties in.  Its
-# keys are never NaN in angular_segmentation: theta is taken only where it
-# is finite, and the overflow check of estimate_local_angles refuses any
-# window with coordinates of about 6e307 or more, so every member's
-# coordinates lie below that and dist = x * cos + y * sin stays finite.
-
-ORDER_VALUES = [-np.inf, -1.5, -0.0, 0.0, 0.25, 1.0, np.inf]
-
-
-def assert_orders_like_lexsort(tiebreak, key, group=None):
-    want = np.lexsort((tiebreak, key) if group is None else (tiebreak, key, group))
-    assert _order(tiebreak, key, group).tolist() == want.tolist()
+# Both stages take NumPy's default argsort of their key (a SIMD quicksort
+# where the CPU has one), which leaves equal keys in no set order.  No
+# result may depend on that order: every cluster range is a union of whole
+# runs of equal keys, each cluster sum sees the same values, and the final
+# sort of unique (subcluster, index) keys restores the member order.  The
+# one tie a value cannot tell apart is a signed zero: theta is never -0.0,
+# and a -0.0 distance passes every bound check as 0.0 does.
 
 
-class TestOrder:
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 340, 5000])
-    def test_seeded(self, n):
-        rng = np.random.Generator(np.random.Philox(n))
-        keys = [
-            np.floor(4.0 * rng.normal(size=n)) / 4.0,  # quantized
-            np.zeros(n),  # all equal
-            rng.choice(ORDER_VALUES, n),  # signed zeros and infinities
-            rng.random(n),  # ties unlikely
-        ]
-        groups = [
-            None,
-            np.sort(rng.integers(0, max(n // 8, 1), n)),  # runs, as stage 2 has them
-            rng.integers(0, 3, n),  # unsorted
-            np.arange(n),  # groups of one
-        ]
-        for key in keys:
-            for group in groups:
-                assert_orders_like_lexsort(rng.permutation(n), key, group)
-                assert_orders_like_lexsort(np.zeros(n, dtype=np.int64), key, group)
+def tie_reordered(how, rng, seen):
+    """segmentation._order with the entries of each tied run reversed or
+    shuffled; seen counts the tied runs and stage-2 runs of -0.0 and 0.0."""
 
-    @settings(max_examples=300)
-    @given(st.data())
-    def test_drawn(self, data):
-        key = np.array(
-            data.draw(st.lists(st.sampled_from(ORDER_VALUES) | st.floats(allow_nan=False)))
-        )
-        n = key.size
-        tiebreak = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
-        group = data.draw(
-            st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n).map(np.array)
-        )
-        assert_orders_like_lexsort(tiebreak, key, group)
+    def order_fn(key, group=None):
+        order = _order(key, group)
+        starts = np.flatnonzero(~np.concatenate(([False], tied_neighbours(order, key, group))))
+        for a, b in zip(starts, [*starts[1:], order.size]):
+            if b - a > 1:
+                run = order[a:b]
+                order[a:b] = run[::-1] if how == "reverse" else rng.permutation(run)
+                seen["ties"] += 1
+                signs = np.signbit(key[run])
+                if group is not None and key[run[0]] == 0.0 and signs.any() and not signs.all():
+                    seen["signed zeros"] += 1
+        return order
+
+    return order_fn
+
+
+def segmentation_result(scan, params):
+    """ids, members, mean bits, fallbacks and fit bits or errors."""
+    clusters = fit_cluster_lines(scan, angular_segmentation(scan, params))
+    return [
+        (c.id, c.point_indices.tolist(), c.mean_theta.hex(), c.mean_theta_fallback, fitted(c))
+        for c in clusters
+    ]
+
+
+def signed_zero_scan():
+    """A vertical run through the sensor beside a parallel one: the run's
+    two points at the origin, (0.0, -0.0) and (0.0, 0.0), have stage-2
+    distances -0.0 and 0.0 in one group.  The normal is pi, so a distance
+    is x * cos(pi) + y * sin(pi); at x = 0.0 the first product is -0.0,
+    and the sum is the zero y * sin(pi), of the sign of y."""
+    along = np.arange(1, 6) / 16.0
+    y = np.concatenate((-along[::-1], [-0.0, 0.0], along))
+    run = np.zeros(y.size)
+    return exact_scan(
+        np.concatenate((run, [0.0], run + 1.0)),
+        np.concatenate((y, [0.0], y)),
+        np.concatenate((np.ones(y.size, bool), [False], np.ones(y.size, bool))),
+    )
+
+
+class TestTieOrder:
+    @pytest.mark.parametrize("full_circle", [True, False])
+    @pytest.mark.parametrize("policy", list(BorderPolicy))
+    def test_rounded_scans_do_not_hang_on_tie_order(self, monkeypatch, policy, full_circle):
+        params = SegmentationParams(0.1, 0.2, 16, policy)
+        scans = [scan for step in (1e-3, 1e-2) for scan in rounded_scans(step, full_circle)]
+        want = [segmentation_result(scan, params) for scan in scans]
+        seen = collections.Counter()
+        rng = np.random.Generator(np.random.Philox(37))
+        for how in ("reverse", "shuffle"):
+            monkeypatch.setattr(segmentation, "_order", tie_reordered(how, rng, seen))
+            assert [segmentation_result(scan, params) for scan in scans] == want
+        assert seen["ties"] > 0
+
+    @pytest.mark.parametrize("policy", list(BorderPolicy))
+    def test_signed_zero_distances(self, monkeypatch, policy):
+        scan = signed_zero_scan()
+        params = SegmentationParams(0.1, 0.2, 4, policy)
+        want = segmentation_result(scan, params)
+        assert any(row[1][:12] == list(range(12)) for row in want)
+        seen = collections.Counter()
+        rng = np.random.Generator(np.random.Philox(41))
+        for how in ("reverse", "shuffle"):
+            monkeypatch.setattr(segmentation, "_order", tie_reordered(how, rng, seen))
+            assert segmentation_result(scan, params) == want
+        assert seen["signed zeros"] == 2
 
 
 # -- per-call cost ---------------------------------------------------------
@@ -724,7 +923,7 @@ _CALL_OPS = {
     if name in dis.opmap
 }
 # calls out of the package by 20 seed-1 scans-360 operations
-SCANS_360_OUTSIDE_CALLS = 5927
+SCANS_360_OUTSIDE_CALLS = 5122
 
 
 def outside_calls(fn) -> int:
