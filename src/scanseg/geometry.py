@@ -7,6 +7,11 @@ Directions (as opposed to normals) are axial quantities and live in
 [0, pi) throughout.  The local direction at a scan point is the
 principal axis of its three-beam window; estimate_local_angles takes
 each block of windows as one (3, m) index array, one gather per coordinate.
+
+_moments and _circular_sums take the sums of tls_fit and circular_mean
+for ranges of columns of one array, which lets segmentation sum all its
+clusters at once: a row reduction is NumPy's pairwise sum, whose bits do
+not depend on where the range sits.
 """
 
 from __future__ import annotations
@@ -105,9 +110,10 @@ def tls_fit(points) -> PolarLine:
     moments, the optimal offset the centroid projection onto that normal.
 
     Raises InsufficientDataError below 2 points, DegenerateFitError when
-    every point coincides, and OrientationUndefinedError when the scatter
-    is isotropic (relative moment gap under ISO_TOL) so that no direction
-    beats any other.
+    every point coincides, OrientationUndefinedError when the scatter is
+    isotropic (relative moment gap under ISO_TOL) so that no direction
+    beats any other, and ValueError when the moments or the offset
+    overflow float64 (coordinates of about 1e308 in size or 1e154 apart).
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -116,38 +122,52 @@ def tls_fit(points) -> PolarLine:
         raise InsufficientDataError("line fit needs at least 2 points")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    # the sum and division of .mean(), without its per-call overhead
-    n = pts.shape[0]
-    cx = float(np.add.reduce(pts[:, 0])) / n
-    cy = float(np.add.reduce(pts[:, 1])) / n
-    dx = pts[:, 0] - cx
-    dy = pts[:, 1] - cy
-    # NumPy's pairwise sums, not BLAS dot products: the bits then do not
-    # depend on the BLAS kernel the CPU picks or on its thread count
-    sxx = float(np.add.reduce(dx * dx))
-    syy = float(np.add.reduce(dy * dy))
-    sxy = float(np.add.reduce(dx * dy))
-    return _line_from_moments(cx, cy, sxx, syy, sxy)
+    w = np.empty((3, pts.shape[0]))
+    w[:2] = pts.T
+    return _line_from_moments(*_moments(w, [0, pts.shape[0]])[0])
+
+
+# as a decorator, errstate costs about half of what a with block does
+@np.errstate(over="ignore", invalid="ignore")
+def _moments(w: np.ndarray, ends: list[int]) -> list[tuple[float, float, float, float, float]]:
+    """(cx, cy, sxx, syy, sxy) of the points w[:2, a:b], for consecutive a, b in ends.
+
+    w is a (3, m) work array; its rows become dx * dx, dy * dy and dx * dy.
+    An empty range's moments are all 0; an overflow leaves inf or NaN.
+    """
+    centers = []
+    for a, b in zip(ends, ends[1:]):
+        sx, sy = np.add.reduce(w[:2, a:b], axis=1).tolist()
+        n = b - a or 1
+        cx, cy = sx / n, sy / n
+        w[0, a:b] -= cx
+        w[1, a:b] -= cy
+        centers.append((cx, cy))
+    np.multiply(w[0], w[1], out=w[2])
+    np.multiply(w[:2], w[:2], out=w[:2])
+    return [
+        (cx, cy, *np.add.reduce(w[:, a:b], axis=1).tolist())
+        for (cx, cy), a, b in zip(centers, ends, ends[1:])
+    ]
 
 
 def _line_from_moments(cx: float, cy: float, sxx: float, syy: float, sxy: float) -> PolarLine:
-    """tls_fit's line from the centroid and the centered second moments.
-
-    The scalar tail of tls_fit, shared with segmentation.fit_cluster_lines,
-    which takes the sums of many clusters at once: one copy of the math
-    and of its messages.  Raises DegenerateFitError and
-    OrientationUndefinedError as tls_fit documents, and ValueError (from
-    PolarLine) when the line is not finite.
-    """
+    """tls_fit's line, and its errors, from the centroid and the centered second moments."""
     spread = sxx + syy
-    if spread <= 0.0:
-        raise DegenerateFitError("all points coincide")
     num = -2.0 * sxy
     den = syy - sxx
+    theta = 0.5 * math.atan2(num, den)
+    d = cx * math.cos(theta) + cy * math.sin(theta)
+    # a centroid that is not finite leaves d not finite, and an sxy that
+    # is not finite the spread, as |dx dy| <= (dx dx + dy dy) / 2; chained
+    # comparisons, unlike math.isfinite, cost no call
+    if not (spread < math.inf and -math.inf < d < math.inf):
+        raise ValueError("line fit overflows float64: points too large or too far apart")
+    if spread <= 0.0:
+        raise DegenerateFitError("all points coincide")
     if math.hypot(num, den) <= ISO_TOL * spread:
         raise OrientationUndefinedError("point scatter is isotropic")
-    theta = 0.5 * math.atan2(num, den)
-    return canonical_polar(cx * math.cos(theta) + cy * math.sin(theta), theta)
+    return canonical_polar(d, theta)
 
 
 def signed_distance_to_origin_line(x, y, theta: float):
@@ -183,18 +203,20 @@ def circular_mean(angles, period: float = TWO_PI) -> float:
         raise ValueError(f"period must be finite and > 0, got {period}")
     if not in_range:
         raise ValueError(f"angles must lie in [0, {period!r})")
-    a = a * (TWO_PI / period)
-    return _mean_from_sums(float(np.cos(a).sum()), float(np.sin(a).sum()), a.size, period)
+    return _mean_from_sums(*_circular_sums(a, [0, a.size], period)[0], a.size, period)
+
+
+def _circular_sums(theta: np.ndarray, ends: list[int], period: float) -> list[list[float]]:
+    """[cos sum, sin sum] of theta[a:b] * (2 pi / period), for consecutive a, b in ends."""
+    cs = np.empty((2, theta.size))
+    np.multiply(theta, TWO_PI / period, out=cs[0])
+    np.sin(cs[0], out=cs[1])
+    np.cos(cs[0], out=cs[0])
+    return [np.add.reduce(cs[:, a:b], axis=1).tolist() for a, b in zip(ends, ends[1:])]
 
 
 def _mean_from_sums(c: float, s: float, n: int, period: float) -> float:
-    """circular_mean's result from the cosine and sine sums of n angles.
-
-    The angles are scaled by 2 pi / period before their cosines and sines
-    are taken.  The scalar tail of circular_mean, shared with
-    segmentation, which takes the sums of many clusters at once.  Raises
-    UndefinedMeanError as circular_mean documents.
-    """
+    """circular_mean's result, or its error, from the _circular_sums of n angles."""
     if math.hypot(c, s) <= RESULTANT_TOL * n:
         raise UndefinedMeanError("resultant vanishes, circular mean undefined")
     return wrap_angle(math.atan2(s, c) / (TWO_PI / period), period)

@@ -51,6 +51,7 @@ scans are bit-identical to those of the earlier one-beam-at-a-time cast.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import re
@@ -129,25 +130,22 @@ def _read_blocks(f):
 
     Each read's text up to its last line end goes out with the line
     carried from earlier reads; the rest is carried on.  "\r\n" and a
-    lone "\r" become "\n", as a file opened by path reads, so a "\r"
-    that ends a read waits for the next.  A last line with no line end
-    gets a "\n".
+    lone "\r" become "\n", as a file opened by path reads, by the
+    standard library's newline decoder, which holds back a "\r" that ends
+    a read until the next.  A last line with no line end gets a "\n".
     """
+    newlines = io.IncrementalNewlineDecoder(None, translate=True)
     carried = []  # the start of a line no read has ended yet
-    cr = ""
     while chunk := f.read(_READ_BLOCK):
-        chunk = cr + chunk
-        cr = "\r" if chunk[-1] == "\r" else ""  # maybe half of a "\r\n"
-        chunk = chunk[: len(chunk) - len(cr)]
-        if "\r" in chunk:  # only a file object passed in can still hold one
-            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+        chunk = newlines.decode(chunk)
         end = chunk.rfind("\n") + 1
         if end:
             yield "".join(carried) + chunk[:end]
             carried = []
         carried.append(chunk[end:])
+    # a "\r" held back at the end decodes to the last line's end
     last = "".join(carried)
-    if last or cr:
+    if last or newlines.decode("", final=True):
         yield last + "\n"
 
 

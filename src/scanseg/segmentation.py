@@ -23,10 +23,8 @@ ascending from one sort of unique integer keys.  The one tie of unequal
 bits would be a signed zero: theta is never -0.0, and a -0.0 distance
 passes every neighborhood check as 0.0 does and is never output.
 
-The circular means and the TLS fits take each cluster's sums as one
-row reduction of its columns in an array of all members (_cluster_means,
-_fit_block), NumPy's pairwise sum as circular_mean and tls_fit take it,
-so they keep those functions' bits.
+The circular means and the TLS fits take the sums of all clusters at
+once, from geometry's kernels that circular_mean and tls_fit run on one.
 """
 
 from __future__ import annotations
@@ -54,10 +52,11 @@ from .geometry import (
     InsufficientDataError,
     OrientationUndefinedError,
     PolarLine,
-    TWO_PI,
     UndefinedMeanError,
+    _circular_sums,
     _line_from_moments,
     _mean_from_sums,
+    _moments,
     circular_mean,
     estimate_local_angles,
     tls_fit,
@@ -206,19 +205,12 @@ def _order(key: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
 def _cluster_means(theta: np.ndarray, ends: list[int]) -> list[tuple[float, bool]]:
     """(circular mean on the half-circle, fallback) of each theta[a:b].
 
-    a and b are consecutive entries of ends.  The cosines and sines of
-    all angles fill the rows of one (2, m) array.  Where a mean is
-    undefined, circular_mean runs on the cluster and raises, and the
-    median member's angle stands in (fallback True).
+    a and b are consecutive entries of ends.  Where a mean is undefined,
+    circular_mean runs on the cluster and raises, and the median member's
+    angle stands in (fallback True).
     """
-    cs = np.empty((2, theta.size))
-    # circular_mean's scaling to the full circle
-    np.multiply(theta, TWO_PI / math.pi, out=cs[0])
-    np.sin(cs[0], out=cs[1])
-    np.cos(cs[0], out=cs[0])
     means = []
-    for a, b in zip(ends, ends[1:]):
-        c, s = np.add.reduce(cs[:, a:b], axis=1).tolist()
+    for (c, s), a, b in zip(_circular_sums(theta, ends, math.pi), ends, ends[1:]):
         try:
             try:
                 mean = _mean_from_sums(c, s, b - a, math.pi)
@@ -238,7 +230,8 @@ def fit_cluster_lines(scan: Scan, clusters: list[FeatureCluster]) -> list[Featur
     Mutates the clusters: fitted_line on success, fit_error (cluster
     retained, no line) when the member geometry is degenerate.  Each line
     has the bits tls_fit gives for the cluster's points, in the order of
-    its point_indices.  Consecutive clusters are fitted together, up to
+    its point_indices, and raises tls_fit's ValueError when the moments
+    overflow float64.  Consecutive clusters are fitted together, up to
     _FIT_BLOCK members at a time (a larger cluster alone).
     """
     lo = size = 0
@@ -256,10 +249,9 @@ def _fit_block(scan: Scan, block: list[FeatureCluster]) -> None:
     """fit_cluster_lines for clusters whose members are gathered at once.
 
     The first two rows of one (3, m) array take the members' coordinates,
-    each cluster in its own columns, and lose each cluster's centroid;
-    then the rows become dx * dx, dy * dy and dx * dy.  A cluster whose
-    line fails, or whose sums are not finite, runs through tls_fit on its
-    points, which raises what it raises for them.
+    each cluster in its own columns, for geometry._moments.  A cluster
+    whose line fails runs through tls_fit on its points, which raises
+    what it raises for them.
     """
     # one cluster's indices are used as they are, so that a cluster above
     # _FIT_BLOCK members costs no more memory than tls_fit on its points
@@ -271,25 +263,12 @@ def _fit_block(scan: Scan, block: list[FeatureCluster]) -> None:
     w[1] = scan.y[idx]
     del idx
     ends = [0, *itertools.accumulate(c.size for c in block)]
-    centers = []
-    for a, b in zip(ends, ends[1:]):
-        # tls_fit's centroid; an empty cluster's (0, 0) stands in for none
-        sx, sy = np.add.reduce(w[:2, a:b], axis=1).tolist()
-        n = max(b - a, 1)
-        cx, cy = sx / n, sy / n
-        w[0, a:b] -= cx
-        w[1, a:b] -= cy
-        centers.append((cx, cy))
-    np.multiply(w[0], w[1], out=w[2])
-    np.multiply(w[:2], w[:2], out=w[:2])
-    for c, (cx, cy), a, b in zip(block, centers, ends, ends[1:]):
-        sxx, syy, sxy = np.add.reduce(w[:, a:b], axis=1).tolist()
-        if math.isfinite(cx + cy + sxx + syy + sxy):
-            try:
-                c.fitted_line = _line_from_moments(cx, cy, sxx, syy, sxy)
-                continue
-            except ValueError:
-                pass
+    for c, moments in zip(block, _moments(w, ends)):
+        try:
+            c.fitted_line = _line_from_moments(*moments)
+            continue
+        except ValueError:
+            pass
         # the fit fails (below two members the moments are 0 and the line
         # degenerate): tls_fit runs on the points and raises, through the
         # module's name for it, where a caller can observe the failure

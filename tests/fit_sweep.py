@@ -1,20 +1,25 @@
-"""Sweep the whole-scan cluster tail against per-cluster tls_fit and circular_mean.
+"""Sweep the whole-scan cluster tail against the earlier per-cluster fit and mean.
 
-    PYTHONPATH=src python tests/fit_sweep.py --count 20000 --seed 1
+    PYTHONPATH=src python -W error::RuntimeWarning tests/fit_sweep.py --count 20000 --seed 1
 
+tls_fit and circular_mean run the kernels under test, so the expected
+outcomes come from their earlier forms (``geometry_reference.py``).
 Each case is one seeded random scan cut into clusters and one array of
 directions cut into runs.  The clusters hold 1-300 points each: random
 scatters, collinear runs, coincident points, square corners and regular
 polygons, scaled from 1e-3 to 1e140 and shifted by up to 1e150, their
-points spread over the scan in random order.  ``fit_cluster_lines``
-gathers the members of up to ``_FIT_BLOCK`` of them at once (here also 1
-to 600, so that blocks end inside and between clusters) and must give
-every cluster the bits ``tls_fit`` gives for its points, or its error
-text.  The runs hold 1-300 directions in [0, pi): uniform, tight bundles
-(some across the seam), antipodal pairs, evenly spread sets and one
-repeated value; ``segmentation._cluster_means`` must give each run the
-bits ``circular_mean`` gives, or its median member when the mean is
-undefined.  Exits 1 at the first difference.  Tier-1 runs a sample
+points spread over the scan in random order; one case in 20 scales one
+cluster to 1e160, where the moments overflow unless its points coincide.
+``fit_cluster_lines`` gathers the members of up to ``_FIT_BLOCK`` of
+them at once (here also 1 to 600, so that blocks end inside and between
+clusters) and must give every cluster the bits the reference gives for
+its points, or its error text, and raise tls_fit's overflow error where
+the reference's NumPy sums or products overflow.  The runs hold 1-300
+directions in [0, pi): uniform, tight bundles (some across the seam),
+antipodal pairs, evenly spread sets and one repeated value;
+``segmentation._cluster_means`` must give each run the bits of the
+reference mean, or its median member when the mean is undefined.  Exits
+1 at the first difference.  Tier-1 runs a sample
 (``test_segmentation.py``).
 """
 
@@ -35,17 +40,19 @@ from scanseg import (
     OrientationUndefinedError,
     Scan,
     UndefinedMeanError,
-    circular_mean,
     fit_cluster_lines,
-    tls_fit,
 )
 from scanseg import segmentation
+from geometry_reference import reference_circular_mean, reference_tls_fit
 
 TWO_PI = 2.0 * math.pi
 FIT_KINDS = ("random", "collinear", "coincident", "square", "polygon")
 MEAN_KINDS = ("uniform", "bundle", "antipodal", "spread", "constant")
 OFFSETS = (0.0, 1.0, -3e9, 1e150, -1e150)
 SCALES = (1e-3, 1.0, 1e5, 1e140)
+# squares of differences of this scale overflow float64
+HUGE = 1e160
+OVERFLOW = (ValueError, "line fit overflows float64: points too large or too far apart")
 # the errors fit_cluster_lines keeps as a cluster's fit_error
 KEPT = (DegenerateFitError, OrientationUndefinedError, InsufficientDataError)
 
@@ -97,11 +104,18 @@ def _placed(x, y, beam):
 
 
 def fit_outcome(scan: Scan, cluster: FeatureCluster):
-    """What fit_cluster_lines should leave on a cluster: its line's bits,
-    or the text of the error tls_fit raises, kept or (type, text) raised."""
+    """What fit_cluster_lines should leave on a cluster: the bits of the
+    reference line, or the text of the error the reference raises, kept
+    or (type, text) raised.  Where a NumPy operation of the reference
+    overflows, the outcome is tls_fit's overflow error.  (No point set of
+    the sweep overflows in the reference's Python arithmetic alone, the
+    spread or the offset, which the errstate cannot see.)"""
     idx = cluster.point_indices
     try:
-        line = tls_fit(np.column_stack((scan.x[idx], scan.y[idx])))
+        with np.errstate(over="raise"):
+            line = reference_tls_fit(np.column_stack((scan.x[idx], scan.y[idx])))
+    except FloatingPointError:
+        return OVERFLOW
     except KEPT as e:
         return str(e)
     except ValueError as e:
@@ -110,20 +124,23 @@ def fit_outcome(scan: Scan, cluster: FeatureCluster):
 
 
 def fit_mismatch(scan: Scan, clusters: list[FeatureCluster]) -> str | None:
-    """How fit_cluster_lines differs from tls_fit per cluster, or None."""
+    """How fit_cluster_lines differs from the reference per cluster, or
+    None.  Where it raises, the clusters before the first the reference
+    raises for are compared."""
     want = [fit_outcome(scan, c) for c in clusters]
     raised = next((w for w in want if isinstance(w, tuple) and isinstance(w[0], type)), None)
     try:
         fit_cluster_lines(scan, clusters)
     except ValueError as e:
         if (type(e), str(e)) != raised:
-            return f"raised {type(e).__name__}: {e}, tls_fit gives {want}"
-        return None
-    if raised is not None:
-        return f"returned, tls_fit raises {raised}"
+            return f"raised {type(e).__name__}: {e}, the reference gives {want}"
+        want = want[: want.index(raised)]
+    else:
+        if raised is not None:
+            return f"returned, the reference raises {raised}"
     got = [
         (c.fitted_line.d.hex(), c.fitted_line.theta.hex()) if c.fitted_line else c.fit_error
-        for c in clusters
+        for c in clusters[: len(want)]
     ]
     if got != want:
         bad = next(k for k, (g, w) in enumerate(zip(got, want)) if g != w)
@@ -152,11 +169,11 @@ def direction_run(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
 
 
 def mean_mismatch(theta: np.ndarray, ends: list[int]) -> str | None:
-    """How _cluster_means differs from circular_mean per run, or None."""
+    """How _cluster_means differs from the reference mean per run, or None."""
     want = []
     for a, b in zip(ends, ends[1:]):
         try:
-            want.append((circular_mean(theta[a:b], math.pi).hex(), False))
+            want.append((reference_circular_mean(theta[a:b], math.pi).hex(), False))
         except UndefinedMeanError:
             want.append((float(theta[(a + b) // 2]).hex(), True))
     got = [(mean.hex(), fallback) for mean, fallback in segmentation._cluster_means(theta, ends)]
@@ -177,6 +194,9 @@ def case(rng: np.random.Generator) -> tuple[str | None, list, list]:
         )
         for _ in range(rng.integers(1, 21))
     ]
+    if rng.random() < 0.05:
+        k = rng.integers(len(specs))
+        specs[k] = (*specs[k][:3], HUGE)
     scan, clusters = partition_scan(rng, specs)
     block = segmentation._FIT_BLOCK
     if rng.random() < 0.5:
@@ -185,7 +205,9 @@ def case(rng: np.random.Generator) -> tuple[str | None, list, list]:
         bad = fit_mismatch(scan, clusters)
     finally:
         segmentation._FIT_BLOCK = block
-    fits = [c.fit_error or "fitted" for c in clusters]
+    fits = [c.fit_error or "fitted" for c in clusters if c.fit_error or c.fitted_line]
+    if len(fits) < len(clusters):  # raised, as the reference has it
+        fits.append(OVERFLOW[1])
     if bad is not None:
         return bad, fits, []
     runs = [
@@ -222,7 +244,7 @@ def main(argv=None) -> int:
     if bad is not None:
         print(f"mismatch: {bad}")
         return 1
-    print(f"{args.count} cases as tls_fit and circular_mean give them, in {seconds:.1f} s")
+    print(f"{args.count} cases as the reference fit and mean give them, in {seconds:.1f} s")
     for text, n in seen.most_common():
         print(f"  {n:9d}  {text}")
     return 0

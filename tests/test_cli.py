@@ -13,10 +13,12 @@ from scanseg import (
     BorderPolicy,
     CircularDomain,
     DbscanParams,
+    Scan,
     dbscan_1d,
     dbscan_1d_circular,
     load_points,
     load_scan,
+    save_scan,
 )
 from scanseg.cli import main
 
@@ -339,6 +341,17 @@ class TestSegment:
                 "--min-points", "4", "--output", str(tmp_path / "x.txt")]
         assert main(argv) == 2
         assert "error: local angle windows overflow float64" in capsys.readouterr().err
+
+    def test_overflowing_fit_fails(self, tmp_path, capsys):
+        # one straight wall 4e154 long, whose line fit overflows float64
+        scan = Scan.from_xy((np.arange(40.0) - 20.0) * 1e153, np.full(40, 1e153))
+        save_scan(scan, tmp_path / "wall.txt")
+        argv = ["segment", str(tmp_path / "wall.txt"), "--eps-theta", "0.1", "--eps-dist",
+                "1e154", "--min-points", "4", "--output", str(tmp_path / "x.txt")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: line fit overflows float64: points too large or too far apart\n"
+        )
 
     def test_non_ascii_byte_names_its_line(self, tmp_path, capsys):
         scan_path = tmp_path / "scan.txt"

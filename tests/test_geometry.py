@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,22 @@ class TestTlsFit:
         square = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(OrientationUndefinedError):
             tls_fit(square)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[1e200, 0.0], [-1e200, 1.0]],  # squared spread overflows
+            [[1e200, 1e200], [-1e200, -1e200]],  # so does the cross product
+            [[1.6e308, 0.0], [1.6e308, 1.0]],  # the centroid's sum overflows
+        ],
+    )
+    def test_overflowing_moments_raise(self, pts):
+        # an inf spread must not read as an isotropic scatter, and NumPy
+        # must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^line fit overflows float64"):
+                tls_fit(np.array(pts))
 
     def test_fits_do_not_depend_on_blas(self):
         # OpenBLAS splits dot products of more than 10k values across its

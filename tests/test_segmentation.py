@@ -8,6 +8,7 @@ import os
 import sys
 import tracemalloc
 import unittest.mock
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,17 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError, match="overflow float64"):
             angular_segmentation(scan, SegmentationParams(0.1, 0.2, 4))
 
+    def test_overflowing_fit_raises(self):
+        # a straight wall 4e154 long: its local angles are fine, its
+        # squared spread is not, and no warning may leak
+        scan = Scan.from_xy((np.arange(40.0) - 20.0) * 1e153, np.full(40, 1e153))
+        clusters = angular_segmentation(scan, SegmentationParams(0.1, 1e154, 4))
+        assert [c.size for c in clusters] == [40]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^line fit overflows float64"):
+                fit_cluster_lines(scan, clusters)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             SegmentationParams(0.0, 0.2, 4)
@@ -313,9 +325,11 @@ class TestLineFitting:
 #
 # angular_segmentation takes every circular mean, and fit_cluster_lines
 # every line, from sums over one array of all members (per block of
-# clusters for the fits).  Each must keep the bits of circular_mean and
-# tls_fit run on the cluster alone, and each failure must pass through
-# those names, where perfbench counts mean fallbacks and fit failures.
+# clusters for the fits).  circular_mean and tls_fit run the same sum
+# kernels on one cluster, so each mean and line is held to the bits of
+# their earlier forms (geometry_reference.py), and each failure must pass
+# through those names, where perfbench counts mean fallbacks and fit
+# failures.
 
 
 @st.composite
@@ -431,8 +445,9 @@ class TestWholeScanTail:
         """A sample of the large sweep CI runs (tests/fit_sweep.py)."""
         seen, bad = fit_sweep.sweep(300, seed=19)
         assert bad is None
-        # the sample reaches every fit outcome and the mean fallback
-        assert len(seen) == 6
+        # the sample reaches every fit outcome, the overflow and the mean
+        # fallback
+        assert len(seen) == 7
 
 
 def test_large_scan_peak_memory():
