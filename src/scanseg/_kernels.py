@@ -13,15 +13,18 @@ bounds; for the head of a ring, a search of them.  Labels and cluster
 ranges then follow from chains of linked cores.  All are bit-identical to
 the paper's counted O(N) sweep, which the tests keep as the reference.
 
-The paper's operation counts follow from the same bounds and chains:
-:func:`sweep_steps` and :func:`sweep_touches` give the pointer steps and
-expansion touches that sweep would make on them.  They describe the
-paper's algorithm; the work done here is what wall-clock time measures.
+The paper's operation counts follow from the same arrays: the pointer
+steps that sweep would make from the bounds (:func:`sweep_steps`), its
+expansion touches from the reach of each cluster that :func:`label_clusters`
+gives (:func:`sweep_touches`), which alone closes a ring across its seam.
+They describe the paper's algorithm; the work done here is what
+wall-clock time measures.
 
 The linear bounds also serve many independent groups in one pass, each
 sorted on its own (stage 2 of the scan segmentation): searches then run
-on (group, value) keys, so no bound leaves its group, and the values and
-the float predicate stay exactly those of one call per group.
+on (group, value) keys and a neighbor must carry the point's group id, so
+no bound leaves its group, and the values and the float predicate stay
+exactly those of one call per group.
 
 Every function returns its arrays and leaves its inputs unchanged.  The
 border policy comes as its :class:`scanseg.dbscan1d.BorderPolicy` value
@@ -78,7 +81,7 @@ def _last_fit(s, idx, fits):
         k = k[fits(idx[k] + 1, k)]
 
 
-def _block_upper(x, s, eps, a, b, top):
+def _block_upper(x, s, eps, a, b, group):
     """Upper bounds of points a..b-1, exactly as the sweep's.
 
     A search, corrected to the sweep's predicate.  No bound lies below its
@@ -93,12 +96,12 @@ def _block_upper(x, s, eps, a, b, top):
 
     else:
         # x + eps searched within the point's group, and a neighbor must
-        # not pass the group's last index
+        # carry the point's group id
         key = s[a:b] + 1j * eps
-        last = top[a:b]
+        g = group[a:b]
 
         def fits(j, k):
-            return (x[j] - xi[k] <= eps) & (j <= last[k])
+            return (x[j] - xi[k] <= eps) & (group[j] == g[k])
 
     # the guesses of the block lie between those of its end points, so
     # searching that window alone gives the same answers, faster
@@ -109,6 +112,9 @@ def _block_upper(x, s, eps, a, b, top):
     return up
 
 
+# a key x + eps past the float max is inf and searches to the array end,
+# where the exact predicate corrects it: an overflow that must not warn
+@np.errstate(over="ignore")
 def linear_bounds(x, eps, group=None):
     """Per-point neighborhood bounds ``(lower, upper)`` of sorted values.
 
@@ -116,31 +122,32 @@ def linear_bounds(x, eps, group=None):
     j with x[i] - x[j] <= eps.  ``group``, a non-decreasing integer id per
     point, splits x into groups that are each sorted and clustered on their
     own: neighbors are sought within the point's group only, so no bound
-    leaves it and upper stays non-decreasing across the groups.  Without
-    it, x is one group.
+    leaves it and upper stays non-decreasing across the groups: a
+    candidate, never before the point, must carry the point's group id.
+    Without it, x is one group.
 
     Points j <= i are neighbors exactly when upper[j] >= i, the same float
     test, so lower[i] is a count: the number of points whose upper bound
     lies below i.
     """
     n = x.shape[0]
-    s, top = x, None
+    s = x
     if group is not None:
         # complex numbers order by real part first, so (group, value)
         # keys sort the whole array while the values stay exact
         s = np.empty(n, np.complex128)
         s.real = group
         s.imag = x
-        top = np.searchsorted(group, group, "right") - 1
     upper = np.empty(n, np.int64)
     for a, b in _blocks(n):
-        upper[a:b] = _block_upper(x, s, eps, a, b, top)
+        upper[a:b] = _block_upper(x, s, eps, a, b, group)
     # the upper bounds all lie in [0, n), so lower is a running count of them
     lower = np.zeros(n, np.int64)
     np.cumsum(np.bincount(upper, minlength=n)[:-1], out=lower[1:])
     return lower, upper
 
 
+@np.errstate(over="ignore")  # the tail keys, as in linear_bounds
 def circular_bounds(x, eps, period):
     """Neighborhood bounds ``(lower, upper)`` on a circle of the given period.
 
@@ -243,7 +250,7 @@ def _fill(n, start, end, ids):
 
 
 def label_clusters(lower, upper, chains, min_points, policy, circular):
-    """Label every point from its bounds; returns ``(labels, lo, hi)``.
+    """Label every point from its bounds; returns ``(labels, lo, hi, reach)``.
 
     ``chains`` is core_chains() of the same bounds and ``policy`` a border
     policy value: "first", "all" or "noise".  Gives the labels and ranges
@@ -254,12 +261,15 @@ def label_clusters(lower, upper, chains, min_points, policy, circular):
     Under FIRST_CLUSTER a border point goes to the smaller of the (at most
     two) cluster ids that reach it, under ALL_CLUSTERS to the larger.
     The closed ranges lo[c]..hi[c] come back normalized: every lo lies in
-    [0, n), and a range across the seam runs hi past n - 1.
+    [0, n), and a range across the seam runs hi past n - 1.  ``reach``,
+    a pair of arrays, holds the unwrapped reach of each cluster's chains:
+    from the lower bound of its first core to the upper bound of its last
+    (cluster 1's starts one turn down when a chain closes on it).
     """
     n = upper.shape[0]
     first, last, cores = chains
     if not cores:
-        return np.full(n, NOISE, np.int64), first, last
+        return np.full(n, NOISE, np.int64), first, last, (first, last)
     seed = first[:1]
     if circular and first.size > 1 and first[0] + n <= upper[last[-1]]:
         # the last chain closes on the first one across the seam
@@ -308,7 +318,7 @@ def label_clusters(lower, upper, chains, min_points, policy, circular):
         lo, hi = lo.copy(), hi.copy()
         lo[0] += n
         hi[0] += n
-    return labels, lo, hi
+    return labels, lo, hi, (reach_lo, reach_hi)
 
 
 def sweep_steps(lower, upper):
@@ -322,35 +332,24 @@ def sweep_steps(lower, upper):
     return int(upper[-1]) + 1 + n - int(lower[0]) if n else 0
 
 
-def sweep_touches(lower, upper, chains, policy, circular):
-    """Points the paper's cluster expansion examines on these bounds.
+def sweep_touches(reach, chains, n, policy, circular):
+    """Points the paper's cluster expansion examines, from the ``reach``
+    that label_clusters() gives for ``chains`` of n points.
 
-    The expansion seeded at a chain's first core f scans up to the reach of
-    its last core l and down to the reach of f, so on a line it touches
-    upper[l] - lower[f] points.  On a ring only cluster 1 needs more care:
-    its upward scan stops one turn from the seed, its downward scan runs
-    on through the last chain when that chain closes on it across the seam,
-    and it stops once the cluster holds all N points.  That caps it at
-    N - 1 touches whenever every touched point is absorbed: always, except
-    under AS_NOISE with a non-core point.  No other chain reaches a full
-    turn, since it would then link to the next chain or close on chain 1.
+    The expansion of a cluster scans its reach: reach_hi - reach_lo points.
+    On a ring, cluster 1 has the two caps of the paper's sweep: its upward
+    scan stops one turn from the seed, and it stops at N - 1 touches when
+    every touched point is absorbed, as always but under AS_NOISE with a
+    non-core point.  No other cluster reaches a full turn: its chain would
+    then link to the next one or close on chain 1.
     """
-    first, last, cores = chains
-    if not cores:
-        return 0
-    reach = upper[last] - lower[first]
-    if not circular:
-        return int(reach.sum())
-    n = upper.shape[0]
-    f = int(first[0])
-    low = int(lower[f])
-    if first.size > 1 and f + n <= upper[last[-1]]:
-        low = min(low, int(lower[first[-1]]) - n)
-        reach = reach[:-1]
-    touches = min(int(upper[last[0]]), f + n - 1) - low
-    if policy != "noise" or cores == n:
-        touches = min(touches, n - 1)
-    return touches + int(reach[1:].sum())
+    first, _, cores = chains
+    reach_lo, reach_hi = reach
+    touches = reach_hi - reach_lo
+    if circular and cores:
+        one = min(reach_hi[0], first[0] + n - 1) - reach_lo[0]
+        touches[0] = min(one, n - 1) if policy != "noise" or cores == n else one
+    return int(touches.sum())
 
 
 def warmup():

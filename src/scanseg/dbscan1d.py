@@ -328,10 +328,14 @@ def _run(
         lower, upper = _k.linear_bounds(x, params.epsilon, group)
     policy = params.border_policy.value
     chains = _k.core_chains(lower, upper, params.min_points)
-    labels, lo, hi = _k.label_clusters(lower, upper, chains, params.min_points, policy, circular)
+    labels, lo, hi, reach = _k.label_clusters(
+        lower, upper, chains, params.min_points, policy, circular
+    )
     if counters is not None:
         counters.neighborhood_steps += _k.sweep_steps(lower, upper)
-        counters.expand_touches += _k.sweep_touches(lower, upper, chains, policy, circular)
+        counters.expand_touches += _k.sweep_touches(
+            reach, chains, x.shape[0], policy, circular
+        )
     return labels, ClusterSequence(lo, hi)
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dbscan1d import _real
+
 TWO_PI = 2.0 * math.pi
 
 # Relative eigen-gap below which a scatter has no usable principal
@@ -186,21 +188,26 @@ def circular_mean(angles, period: float = TWO_PI) -> float:
     circle, averages unit vectors, and maps the resultant angle back.
     When the resultant nearly vanishes (relative length under
     RESULTANT_TOL, e.g. two angles half a period apart) the mean carries
-    no information and UndefinedMeanError is raised.
+    no information and UndefinedMeanError is raised.  The period must be
+    a number, finite and > 0, and large enough that 2 pi / period is
+    finite; ValueError otherwise.
     """
     a = np.ascontiguousarray(angles, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError(f"angles must be one-dimensional, got shape {a.shape}")
     if a.size == 0:
         raise InsufficientDataError("circular mean of an empty set")
+    period = _real(period, "period")
     # in range means finite too (min and max are NaN if any angle is, and
     # an infinity fails a bound), so the finiteness scan runs only to name
     # what is wrong
     in_range = 0.0 <= a.min() and a.max() < period
     if not in_range and not np.isfinite(a).all():
         raise ValueError("angles must be finite")
-    if not np.isfinite(period) or period <= 0.0:
+    if not 0.0 < period < math.inf:
         raise ValueError(f"period must be finite and > 0, got {period}")
+    if TWO_PI / period == math.inf:
+        raise ValueError(f"period too small: 2 pi / period overflows float64, got {period!r}")
     if not in_range:
         raise ValueError(f"angles must lie in [0, {period!r})")
     return _mean_from_sums(*_circular_sums(a, [0, a.size], period)[0], a.size, period)
@@ -233,6 +240,20 @@ def _principal_directions(sxx, syy, sxy) -> np.ndarray:
     ang[ang == math.pi] = 0.0
     ang[(spread <= 0.0) | (gap <= ISO_TOL * spread)] = np.nan
     return ang
+
+
+@np.errstate(over="raise")  # a decorator, as on _moments
+def _window_directions(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """_principal_directions of the three points in each column of wx, wy.
+
+    A sum over the three rows adds them in order, (a + b) + c.  An
+    overflow in the sums or the squared spreads raises FloatingPointError.
+    """
+    dx = wx - wx.sum(axis=0) / 3.0
+    dy = wy - wy.sum(axis=0) / 3.0
+    return _principal_directions(
+        (dx * dx).sum(axis=0), (dy * dy).sum(axis=0), (dx * dy).sum(axis=0)
+    )
 
 
 def estimate_local_angles(x, y, valid, full_circle: bool = False) -> np.ndarray:
@@ -273,17 +294,10 @@ def estimate_local_angles(x, y, valid, full_circle: bool = False) -> np.ndarray:
         # index -1 is the last beam, the seam neighbor of beam 0
         w = center[lo : lo + _ANGLE_BLOCK] + np.arange(-1, 2)[:, None]
         w[2, w[2] == n] = 0
-        wx, wy = x[w], y[w]
-        # a sum over the three rows adds them in order, (a + b) + c; any
-        # overflow leaves the window's spread non-finite and its direction
-        # NaN, indistinguishable from a degenerate window
+        # an overflow would leave the window's spread non-finite and its
+        # direction NaN, indistinguishable from a degenerate window
         try:
-            with np.errstate(over="raise"):
-                dx = wx - wx.sum(axis=0) / 3.0
-                dy = wy - wy.sum(axis=0) / 3.0
-                ang = _principal_directions(
-                    (dx * dx).sum(axis=0), (dy * dy).sum(axis=0), (dx * dy).sum(axis=0)
-                )
+            ang = _window_directions(x[w], y[w])
         except FloatingPointError:
             raise ValueError(
                 "local angle windows overflow float64: "

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +67,9 @@ from .scan import Scan
 # Cluster members whose coordinates fit_cluster_lines gathers at once.
 _FIT_BLOCK = 4096
 
+# Stage 1's domain: directions on the half-circle.
+_HALF_TURN = CircularDomain(math.pi)
+
 
 @dataclass(frozen=True)
 class SegmentationParams:
@@ -82,6 +85,9 @@ class SegmentationParams:
     epsilon_dist: float
     min_points: int
     border_policy: BorderPolicy = BorderPolicy.FIRST_CLUSTER
+    # the clustering parameters of stage 1 and stage 2, built once from
+    # the checked fields
+    _stages: tuple[DbscanParams, DbscanParams] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < _real(self.epsilon_theta, "epsilon_theta") < 0.5 * math.pi:
@@ -93,6 +99,11 @@ class SegmentationParams:
             raise ValueError(f"epsilon_dist must be > 0, got {self.epsilon_dist}")
         _check_min_points(self.min_points)
         _check_border_policy(self.border_policy)
+        stages = (
+            DbscanParams(self.epsilon_theta, self.min_points, self.border_policy),
+            DbscanParams(self.epsilon_dist, self.min_points, self.border_policy),
+        )
+        object.__setattr__(self, "_stages", stages)
 
 
 @dataclass
@@ -145,9 +156,9 @@ def angular_segmentation(
     theta_sorted = theta[perm]
     # free megabytes on a large scan before the clustering adds its own
     del theta, orig
-    stage1 = DbscanParams(params.epsilon_theta, params.min_points, params.border_policy)
+    stage1, stage2 = params._stages
     labels1, angular_clusters = dbscan_1d_circular(
-        theta_sorted, stage1, CircularDomain(math.pi), counters=counters
+        theta_sorted, stage1, _HALF_TURN, counters=counters
     )
 
     # stage 2: within each angular cluster, recluster by signed distance
@@ -173,7 +184,6 @@ def angular_segmentation(
     sub_orig = member_orig[order]
     dist = dist[order]
     del member_orig, order
-    stage2 = DbscanParams(params.epsilon_dist, params.min_points, params.border_policy)
     labels2, subclusters = _dbscan_1d_groups(dist, group, stage2, counters=counters)
     spos, sub = _members(labels2, subclusters)
     # each subcluster's members ascending, subclusters in order: unique keys

@@ -812,6 +812,52 @@ class TestRecluster:
         assert labels.tolist() == [-1, 1, 1]
 
 
+class TestNearFloatMax:
+    """Search keys x + eps past the float max overflow to inf, which
+    searches to the array end, where the exact predicate corrects them.
+    The overflow must not warn: the test settings make a warning fail."""
+
+    X = np.array([0.0, 1e307, 1.5e308, 1.6e308, 1.7e308])
+    EPS = 1e308
+    # a ring whose linear keys and seam keys (x + eps) - period overflow
+    RING = np.array([0.0, 1e307, 1.5e308, 1.6e308, 1.7e308, 1.75e308])
+    RING_EPS, PERIOD = 8.9e307, 1.79e308
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_linear_labels_match_oracle(self, policy):
+        labels, _ = dbscan_1d(self.X, DbscanParams(self.EPS, 2, policy))
+        want = naive_dbscan(self.X, self.EPS, 2, border_policy=policy)
+        np.testing.assert_array_equal(labels, want)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_circular_labels_match_oracle(self, policy):
+        params = DbscanParams(self.RING_EPS, 2, policy)
+        labels, _ = dbscan_1d_circular(self.RING, params, CircularDomain(self.PERIOD))
+        want = naive_dbscan(self.RING, self.RING_EPS, 2, self.PERIOD, policy)
+        np.testing.assert_array_equal(labels, want)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_grouped_labels_match_oracle(self, policy):
+        params = DbscanParams(self.EPS, 2, policy)
+        x = np.concatenate((self.X, self.X))
+        labels, _ = _dbscan_1d_groups(x, np.repeat([0, 1], self.X.size), params)
+        one = naive_dbscan(self.X, self.EPS, 2, border_policy=policy)
+        later = np.where(one == NOISE, NOISE, one + one.max())
+        np.testing.assert_array_equal(labels, np.concatenate((one, later)))
+
+    def test_neighborhoods_match_oracle(self):
+        lower, upper = calculate_neighborhood(self.X, self.EPS)
+        for i in range(self.X.size):
+            want = naive_neighborhood(self.X, i, self.EPS)
+            np.testing.assert_array_equal(np.arange(lower[i], upper[i] + 1), want)
+        n = self.RING.size
+        domain = CircularDomain(self.PERIOD)
+        lower, upper = calculate_neighborhood_circular(self.RING, self.RING_EPS, domain)
+        for i in range(n):
+            want = naive_neighborhood(self.RING, i, self.RING_EPS, self.PERIOD)
+            np.testing.assert_array_equal(np.sort(np.arange(lower[i], upper[i] + 1) % n), want)
+
+
 class TestParams:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):

@@ -655,6 +655,20 @@ def test_circular_mean_rejects_two_dimensions():
         circular_mean(np.zeros((2, 2)))
 
 
+def test_circular_mean_period_must_be_a_number():
+    with pytest.raises(ValueError, match=r"^period must be a number, got 'x'$"):
+        circular_mean([0.1], "x")
+
+
+def test_circular_mean_refuses_a_period_whose_full_turn_scale_overflows():
+    # 2 pi / 5e-324 is inf, which would leave the mean NaN
+    message = r"^period too small: 2 pi / period overflows float64, got 5e-324$"
+    with pytest.raises(ValueError, match=message):
+        circular_mean([0.0], 5e-324)
+    # a NumPy scalar period gives the bits of the float
+    assert circular_mean([0.3, 3.0], np.float64(np.pi)) == circular_mean([0.3, 3.0], np.pi)
+
+
 def test_local_angles_reject_unequal_lengths():
     with pytest.raises(ValueError, match=r"^x, y, valid must be one-dimensional and equally long$"):
         estimate_local_angles(np.zeros(4), np.zeros(3), np.ones(4, bool))

@@ -938,7 +938,7 @@ _CALL_OPS = {
     if name in dis.opmap
 }
 # calls out of the package by 20 seed-1 scans-360 operations
-SCANS_360_OUTSIDE_CALLS = 5122
+SCANS_360_OUTSIDE_CALLS = 4782
 
 
 def outside_calls(fn) -> int:
