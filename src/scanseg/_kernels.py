@@ -9,16 +9,25 @@ only when one neighborhood spans the array.  Lower bounds follow from
 the upper ones by one rule: lower[i] is the first point whose upper bound
 reaches i, and across the seam of a ring the first point whose bound
 reaches n + i, less n.  On a line that is a running count of the upper
-bounds; for the head of a ring, a search of them.  Labels and cluster
-ranges then follow from chains of linked cores.  All are bit-identical to
-the paper's counted O(N) sweep, which the tests keep as the reference.
+bounds, taken block by block; for the head of a ring, a search of them.
+Cluster ranges then follow from chains of linked cores, and labels from
+the ranges.  All are bit-identical to the paper's counted O(N) sweep,
+which the tests keep as the reference.
+
+Besides its input, a clustering run holds two arrays of N int64 at a
+time: upper and lower while they are found and read, then the labels,
+which :func:`label_clusters` fills from the ranges alone, after the
+bounds are gone.  Under AS_NOISE one bool per point, from
+:func:`noncores`, marks the non-cores across that switch.  The grouped
+search keys (below) take 16 bytes a point and go before lower comes.
+Every other array scales with a block or with the number of clusters.
 
 The paper's operation counts follow from the same arrays: the pointer
 steps that sweep would make from the bounds (:func:`sweep_steps`), its
-expansion touches from the reach of each cluster that :func:`label_clusters`
-gives (:func:`sweep_touches`), which alone closes a ring across its seam.
-They describe the paper's algorithm; the work done here is what
-wall-clock time measures.
+expansion touches from the reach of each cluster that
+:func:`cluster_ranges` gives (:func:`sweep_touches`), which alone closes a
+ring across its seam.  They describe the paper's algorithm; the work done
+here is what wall-clock time measures.
 
 The linear bounds also serve many independent groups in one pass, each
 sorted on its own (stage 2 of the scan segmentation): searches then run
@@ -26,12 +35,12 @@ on (group, value) keys and a neighbor must carry the point's group id, so
 no bound leaves its group, and the values and the float predicate stay
 exactly those of one call per group.
 
-Every function returns its arrays and leaves its inputs unchanged.  The
-border policy comes as its :class:`scanseg.dbscan1d.BorderPolicy` value
-("first", "all" or "noise").  Label conventions shared with
-:mod:`scanseg.dbscan1d`: -1 means noise, cluster ids start at 1, and a
-cluster range starts in [0, n), running past n - 1 when it crosses the
-seam of a ring.
+Every public function returns its arrays and leaves its inputs
+unchanged.  The border policy comes as its
+:class:`scanseg.dbscan1d.BorderPolicy` value ("first", "all" or
+"noise").  Label conventions shared with :mod:`scanseg.dbscan1d`: -1
+means noise, cluster ids start at 1, and a cluster range starts in
+[0, n), running past n - 1 when it crosses the seam of a ring.
 """
 
 import numpy as np
@@ -45,15 +54,16 @@ NOISE = -1
 # one's upper bound, and a non-core point can only be reached by the
 # cluster of its previous core and that of its next core, so whole
 # clusters follow from their first and last cores.  Work runs in blocks of
-# VEC_BLOCK points: besides the bounds, the labels and the count of upper
-# bounds that gives lower, every array scales with the block or with the
-# number of clusters.
+# VEC_BLOCK points, the count of upper bounds that gives lower too, in
+# pieces of at most a block: only the bounds, the grouped search keys, the
+# labels and the non-core mask scale with N.
 
 VEC_BLOCK = 1 << 15
 
 
 def _blocks(n):
-    return ((a, min(a + VEC_BLOCK, n)) for a in range(0, n, VEC_BLOCK))
+    for a in range(0, n, VEC_BLOCK):
+        yield a, a + VEC_BLOCK if a + VEC_BLOCK < n else n
 
 
 def _last_fit(s, idx, fits):
@@ -112,6 +122,32 @@ def _block_upper(x, s, eps, a, b, group):
     return up
 
 
+def _block_lower(upper, j, a, b, out):
+    """Write the lower bounds of points a..b-1 into ``out``.
+
+    ``j`` is the number of points whose upper bound lies below a; returns
+    that number for b.  Upper never decreases, so the points whose bound
+    lies in [a, b) come next, j..k-1, and lower[i] is j plus the number of
+    them whose bound lies below i: a running count.  A bound below b
+    belongs to a point before b, so k is found among the bounds known so
+    far.  The count runs in pieces of at most a block: in a dense block
+    the points that reach it from before can far outnumber it.
+    """
+    n = upper.shape[0]
+    k = n if b == n else j + upper[j:b].searchsorted(b, "left")
+    run = upper[j:k]
+    # block 0 needs no shift, and its run, of points before b, fits one piece
+    counts = np.bincount(run[:VEC_BLOCK] - a if a else run, minlength=b - a)
+    p = VEC_BLOCK
+    while p < run.shape[0]:
+        counts += np.bincount(run[p : p + VEC_BLOCK] - a, minlength=b - a)
+        p += VEC_BLOCK
+    out[0] = j
+    counts[0] += j
+    np.cumsum(counts[:-1], out=out[1:])
+    return k
+
+
 # a key x + eps past the float max is inf and searches to the array end,
 # where the exact predicate corrects it: an overflow that must not warn
 @np.errstate(over="ignore")
@@ -139,11 +175,19 @@ def linear_bounds(x, eps, group=None):
         s.real = group
         s.imag = x
     upper = np.empty(n, np.int64)
+    lower = np.empty(n, np.int64) if group is None else None
+    j = 0
     for a, b in _blocks(n):
         upper[a:b] = _block_upper(x, s, eps, a, b, group)
-    # the upper bounds all lie in [0, n), so lower is a running count of them
-    lower = np.zeros(n, np.int64)
-    np.cumsum(np.bincount(upper, minlength=n)[:-1], out=lower[1:])
+        if lower is not None:
+            # counted while the block's upper bounds are in cache
+            j = _block_lower(upper, j, a, b, lower[a:b])
+    if lower is None:
+        # the grouped keys, 16 bytes a point, go before lower comes
+        del s
+        lower = np.empty(n, np.int64)
+        for a, b in _blocks(n):
+            j = _block_lower(upper, j, a, b, lower[a:b])
     return lower, upper
 
 
@@ -225,14 +269,104 @@ def core_chains(lower, upper, min_points):
     return np.concatenate(firsts), np.concatenate(lasts), cores
 
 
-def _fill(n, start, end, ids):
-    """Labels: ids over the closed segments [start, end], NOISE elsewhere.
+def cluster_ranges(lower, upper, chains, policy, circular):
+    """Cluster ranges from the bounds; returns ``(fill, lo, hi, reach)``.
 
+    ``chains`` is core_chains() of the same bounds and ``policy`` a border
+    policy value: "first", "all" or "noise".  Gives the ranges of the
+    paper's sweep on these bounds, including its order of discovery:
+    clusters are numbered by the first core an ascending sweep meets, so
+    on a ring the chain through index 0 is cluster 1 and takes in the
+    chain that closes on it across the seam.
+    The closed ranges lo[c]..hi[c] come back normalized: every lo lies in
+    [0, n), and a range across the seam runs hi past n - 1.  ``reach``,
+    a pair of arrays, holds the unwrapped reach of each cluster's chains:
+    from the lower bound of its first core to the upper bound of its last
+    (cluster 1's starts one turn down when a chain closes on it).
+    ``fill``, a pair of arrays too, holds the segments that
+    label_clusters() labels with the cluster ids.  Under FIRST_CLUSTER a
+    border point goes to the smaller of the (at most two) cluster ids
+    that reach it, under ALL_CLUSTERS to the larger; under AS_NOISE a
+    segment spans its chain's cores.  Every array scales with the number
+    of clusters, so the bounds can go before the labels come.
+    """
+    n = upper.shape[0]
+    first, last, cores = chains
+    if not cores:
+        return (first, last), first, last, (first, last)
+    seed = first[:1]
+    if circular and first.size > 1 and first[0] + n <= upper[last[-1]]:
+        # the last chain closes on the first one across the seam
+        first = np.concatenate(([first[-1] - n], first[1:-1]))
+        last = last[:-1]
+    k = first.size
+    # a chain closed across the seam starts one turn down, at a negative
+    # index that reads its place one turn up
+    reach_lo = lower[first]
+    if first[0] < 0:
+        reach_lo[0] -= n
+    reach_hi = upper[last]
+    if k == 1 and circular and (
+        cores == n if policy == "noise" else reach_hi[0] - reach_lo[0] + 1 >= n
+    ):
+        # every point is absorbed: the whole ring, from the seed
+        lo, hi = seed, seed + n - 1
+        fill = lo, hi
+    elif policy == "noise":
+        lo, hi = first, last
+        fill = lo, hi
+    elif policy == "first":
+        # each cluster keeps what it reaches before the next one can
+        lo = reach_lo.copy()
+        np.maximum(reach_lo[1:], reach_hi[:-1] + 1, out=lo[1:])
+        hi = reach_hi.copy()
+        if circular and k > 1:
+            hi[-1] = min(hi[-1], reach_lo[0] + n - 1)
+        fill = lo, hi
+    else:
+        # ALL_CLUSTERS: ranges are the full reach, labels go to the last
+        # claimant
+        seg_lo = reach_lo.copy()
+        seg_hi = reach_hi.copy()
+        np.minimum(reach_hi[:-1], reach_lo[1:] - 1, out=seg_hi[:-1])
+        if circular and k > 1:
+            seg_lo[0] = max(seg_lo[0], reach_hi[-1] - n + 1)
+        fill = seg_lo, seg_hi
+        lo, hi = reach_lo, reach_hi
+    if lo[0] < 0:
+        # a range that starts below index 0 (only the first can) is
+        # reported one turn up
+        lo, hi = lo.copy(), hi.copy()
+        lo[0] += n
+        hi[0] += n
+    return fill, lo, hi, (reach_lo, reach_hi)
+
+
+def noncores(lower, upper, min_points):
+    """One bool per point, true where it is not a core: AS_NOISE's noise
+    inside a cluster's segment."""
+    n = upper.shape[0]
+    mask = np.empty(n, np.bool_)
+    for a, b in _blocks(n):
+        mask[a:b] = upper[a:b] - lower[a:b] < min_points - 1
+    return mask
+
+
+def label_clusters(n, fill, noncore):
+    """Labels of n points: cluster ids over the ``fill`` segments that
+    cluster_ranges() gives, NOISE elsewhere and where ``noncore`` (of
+    noncores(), under AS_NOISE; None under the other policies) is true.
+
+    Segment c, the closed range fill[0][c]..fill[1][c], takes id c + 1.
     Segments are unwrapped, sorted by start and disjoint modulo n: only
     the first may start below 0 and only the last may end past n - 1,
-    never both.  Works by adding steps and one cumsum.
+    never both.  Works by adding steps and one cumsum, so the labels are
+    the one N-array it makes.
     """
-    step = ids - NOISE
+    start, end = fill
+    if not start.size:
+        return np.full(n, NOISE, np.int64)
+    step = np.arange(1 - NOISE, start.size + 1 - NOISE, dtype=np.int64)
     labels = np.zeros(n, np.int64)
     labels[0] = NOISE
     # a negative start indexes its place one turn up
@@ -246,79 +380,10 @@ def _fill(n, start, end, ids):
         # the last segment goes on from index 0, one turn down
         labels[0] += step[-1]
         labels[end[-1] - n + 1] -= step[-1]
-    return np.cumsum(labels, out=labels)
-
-
-def label_clusters(lower, upper, chains, min_points, policy, circular):
-    """Label every point from its bounds; returns ``(labels, lo, hi, reach)``.
-
-    ``chains`` is core_chains() of the same bounds and ``policy`` a border
-    policy value: "first", "all" or "noise".  Gives the labels and ranges
-    of the paper's sweep on these bounds, including its order of
-    discovery: clusters are numbered by the first core an ascending sweep
-    meets, so on a ring the chain through index 0 is cluster 1 and takes
-    in the chain that closes on it across the seam.
-    Under FIRST_CLUSTER a border point goes to the smaller of the (at most
-    two) cluster ids that reach it, under ALL_CLUSTERS to the larger.
-    The closed ranges lo[c]..hi[c] come back normalized: every lo lies in
-    [0, n), and a range across the seam runs hi past n - 1.  ``reach``,
-    a pair of arrays, holds the unwrapped reach of each cluster's chains:
-    from the lower bound of its first core to the upper bound of its last
-    (cluster 1's starts one turn down when a chain closes on it).
-    """
-    n = upper.shape[0]
-    first, last, cores = chains
-    if not cores:
-        return np.full(n, NOISE, np.int64), first, last, (first, last)
-    seed = first[:1]
-    if circular and first.size > 1 and first[0] + n <= upper[last[-1]]:
-        # the last chain closes on the first one across the seam
-        first = np.concatenate(([first[-1] - n], first[1:-1]))
-        last = last[:-1]
-    k = first.size
-    ids = np.arange(1, k + 1, dtype=np.int64)
-    # a chain closed across the seam starts one turn down, at a negative
-    # index that reads its place one turn up
-    reach_lo = lower[first]
-    if first[0] < 0:
-        reach_lo[0] -= n
-    reach_hi = upper[last]
-    if k == 1 and circular and (
-        cores == n if policy == "noise" else reach_hi[0] - reach_lo[0] + 1 >= n
-    ):
-        # every point is absorbed: the whole ring, from the seed
-        labels = np.ones(n, np.int64)
-        lo, hi = seed, seed + n - 1
-    elif policy == "noise":
-        labels = _fill(n, first, last, ids)
-        for a, b in _blocks(n):
-            labels[a:b][upper[a:b] - lower[a:b] < min_points - 1] = NOISE
-        lo, hi = first, last
-    elif policy == "first":
-        # each cluster keeps what it reaches before the next one can
-        lo = reach_lo.copy()
-        np.maximum(reach_lo[1:], reach_hi[:-1] + 1, out=lo[1:])
-        hi = reach_hi.copy()
-        if circular and k > 1:
-            hi[-1] = min(hi[-1], reach_lo[0] + n - 1)
-        labels = _fill(n, lo, hi, ids)
-    else:
-        # ALL_CLUSTERS: ranges are the full reach, labels go to the last
-        # claimant
-        seg_lo = reach_lo.copy()
-        seg_hi = reach_hi.copy()
-        np.minimum(reach_hi[:-1], reach_lo[1:] - 1, out=seg_hi[:-1])
-        if circular and k > 1:
-            seg_lo[0] = max(seg_lo[0], reach_hi[-1] - n + 1)
-        labels = _fill(n, seg_lo, seg_hi, ids)
-        lo, hi = reach_lo, reach_hi
-    if lo[0] < 0:
-        # a range that starts below index 0 (only the first can) is
-        # reported one turn up
-        lo, hi = lo.copy(), hi.copy()
-        lo[0] += n
-        hi[0] += n
-    return labels, lo, hi, (reach_lo, reach_hi)
+    np.cumsum(labels, out=labels)
+    if noncore is not None:
+        labels[noncore] = NOISE
+    return labels
 
 
 def sweep_steps(lower, upper):
@@ -334,7 +399,7 @@ def sweep_steps(lower, upper):
 
 def sweep_touches(reach, chains, n, policy, circular):
     """Points the paper's cluster expansion examines, from the ``reach``
-    that label_clusters() gives for ``chains`` of n points.
+    that cluster_ranges() gives for ``chains`` of n points.
 
     The expansion of a cluster scans its reach: reach_hi - reach_lo points.
     On a ring, cluster 1 has the two caps of the paper's sweep: its upward
@@ -362,4 +427,6 @@ def warmup():
         (False, linear_bounds(x, 0.1, np.array([0, 0, 1, 1]))),
         (True, circular_bounds(x, 0.1, 2.0 * np.pi)),
     ):
-        label_clusters(lower, upper, core_chains(lower, upper, 2), 2, "first", circular)
+        chains = core_chains(lower, upper, 2)
+        fill = cluster_ranges(lower, upper, chains, "first", circular)[0]
+        label_clusters(x.shape[0], fill, None)

@@ -12,11 +12,11 @@ The work itself runs in the vectorized NumPy kernels of
 sweep in bounds, labels and cluster ranges.  Their bounds cost
 O(N log VEC_BLOCK) while neighborhoods stay under one block of
 ``_kernels.VEC_BLOCK`` points, and O(N log N) only when one neighborhood
-spans the array.  Each
-call makes the same kernel calls in turn, each returning its arrays:
-neighborhood bounds, chains of linked cores, then labels and cluster
-ranges.  A call that passes ``counters=`` adds to them the steps and
-touches the paper's sweep would make on those bounds and chains.
+spans the array.  Each call makes the same kernel calls in turn, each
+returning its arrays: neighborhood bounds, chains of linked cores,
+cluster ranges, then the labels, filled once the bounds are dropped.  A
+call that passes ``counters=`` adds to them the steps and touches the
+paper's sweep would make on those bounds and chains.
 
 Neighborhoods are closed: a point at distance exactly ``epsilon`` counts.
 A circular variant treats values as positions on a ring of a given period,
@@ -328,14 +328,16 @@ def _run(
         lower, upper = _k.linear_bounds(x, params.epsilon, group)
     policy = params.border_policy.value
     chains = _k.core_chains(lower, upper, params.min_points)
-    labels, lo, hi, reach = _k.label_clusters(
-        lower, upper, chains, params.min_points, policy, circular
-    )
+    fill, lo, hi, reach = _k.cluster_ranges(lower, upper, chains, policy, circular)
     if counters is not None:
         counters.neighborhood_steps += _k.sweep_steps(lower, upper)
         counters.expand_touches += _k.sweep_touches(
             reach, chains, x.shape[0], policy, circular
         )
+    noncore = _k.noncores(lower, upper, params.min_points) if policy == "noise" else None
+    # the bounds go before the labels come: two N-arrays at a time
+    del lower, upper
+    labels = _k.label_clusters(x.shape[0], fill, noncore)
     return labels, ClusterSequence(lo, hi)
 
 

@@ -22,7 +22,13 @@ import numpy as np
 
 from scanseg import CircularDomain, calculate_neighborhood, calculate_neighborhood_circular
 from scanseg import _kernels
-from test_dbscan1d import assert_matches_sweep, fuzz_cases
+from test_dbscan1d import (
+    POLICIES,
+    assert_groups_match_per_group_runs,
+    assert_matches_sweep,
+    fuzz_cases,
+    lattice_group_cases,
+)
 
 
 def mismatch(x, eps, period, mp, policy) -> str | None:
@@ -44,20 +50,47 @@ def describe(x, eps, period, mp, policy) -> str:
     return f"x={x.tolist()!r}, eps={eps!r}, period={period!r}, min_points={mp}, {policy}"
 
 
+def grouped_mismatch(groups, ids, eps, mp, policy) -> str | None:
+    """How the grouped pass differs from the per-group runs, or None."""
+    try:
+        assert_groups_match_per_group_runs(groups, ids, eps, mp, policy)
+    except AssertionError:
+        return "grouped labels, ranges, counters or bounds"
+    return None
+
+
+def describe_groups(groups, ids, eps, mp, policy) -> str:
+    values = [g.tolist() for g in groups]
+    return f"groups={values!r}, ids={ids.tolist()!r}, eps={eps!r}, min_points={mp}, {policy}"
+
+
+def grouped_cases(count: int, seed: int):
+    """The grouped lattice cases under each border policy in turn."""
+    for policy in POLICIES:
+        for case in lattice_group_cases(count, seed):
+            yield (*case, policy)
+
+
 def sweep(count: int, seed: int, block: int) -> tuple[int, str | None]:
     """(cases compared, first mismatch or None) in blocks of ``block``."""
     saved = _kernels.VEC_BLOCK
     _kernels.VEC_BLOCK = block
+    done = 0
     try:
-        for done, case in enumerate(fuzz_cases(count, seed)):
-            try:
-                bad = mismatch(*case)
-            except Exception:
-                print(f"blocks of {block}: raised on {describe(*case)}")
-                raise
-            if bad is not None:
-                return done, f"{bad} differ on {describe(*case)}"
-        return count, None
+        for check, describe_case, cases in (
+            (mismatch, describe, fuzz_cases(count, seed)),
+            (grouped_mismatch, describe_groups, grouped_cases(count // 10, seed)),
+        ):
+            for case in cases:
+                try:
+                    bad = check(*case)
+                except Exception:
+                    print(f"blocks of {block}: raised on {describe_case(*case)}")
+                    raise
+                if bad is not None:
+                    return done, f"{bad} differ on {describe_case(*case)}"
+                done += 1
+        return done, None
     finally:
         _kernels.VEC_BLOCK = saved
 
@@ -75,7 +108,7 @@ def main(argv=None) -> int:
         if bad is not None:
             print(f"blocks of {block}: mismatch after {done} cases: {bad}")
             return 1
-        print(f"blocks of {block}: {done} cases match the reference sweep, in {seconds:.1f} s")
+        print(f"blocks of {block}: {done} cases match, in {seconds:.1f} s")
     return 0
 
 

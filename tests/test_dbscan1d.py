@@ -614,34 +614,89 @@ class TestCountedPathEquivalence:
         x = np.array([0.0336, 0.0910, 0.1549, 0.1699, 0.1872, 6.1526, 6.1660, 6.1955, 6.2028, 6.2486])
         assert_paths_agree(x, 0.1, TWO_PI, 4)
 
-    def test_peak_allocation_stays_within_three_arrays(self):
+    def test_peak_allocation_stays_within_two_arrays(self):
         # the separated-cluster input of the linear-1m benchmark workload:
-        # labels, lower and upper plus at most one bool mask and small blocks
+        # lower and upper, then labels, plus at most one bool mask and
+        # small blocks
         n = 1_000_000
         rng = np.random.Generator(np.random.Philox(1))
         x = np.sort(generate_separated_clusters(n, rng))
         params = DbscanParams(scaling_epsilon(n), 4)
-        tracemalloc.start()
-        try:
-            dbscan_1d(x, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * 8 * n + n + 2 * 2**20
+        assert peak_allocation(lambda: dbscan_1d(x, params)) <= two_arrays(n)
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_circular_peak_allocation_stays_within_three_arrays(self, policy):
+    def test_circular_peak_allocation_stays_within_two_arrays(self, policy):
         # the same bound on a ring whose dense group straddles the seam
         n = 900_000
         x = seam_group(n)
         params = DbscanParams(1.0, 5, policy)
-        tracemalloc.start()
-        try:
-            dbscan_1d_circular(x, params, CircularDomain(4000.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * 8 * n + n + 2 * 2**20
+        peak = peak_allocation(lambda: dbscan_1d_circular(x, params, CircularDomain(4000.0)))
+        assert peak <= two_arrays(n)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_dense_block_peak_allocation_stays_within_two_arrays(self, policy):
+        # equal values: every point reaches the last, so the last block
+        # counts the upper bounds of all n points
+        x = np.zeros(PEAK_N)
+        params = DbscanParams(0.5, 4, policy)
+        assert peak_allocation(lambda: dbscan_1d(x, params)) <= two_arrays(PEAK_N)
+        labels, clusters = dbscan_1d(x, params)
+        assert (labels == 1).all() and list(clusters) == [Cluster1D(1, 0, PEAK_N - 1)]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("spacing", [2.0, 0.5])
+    def test_ring_peak_allocation_stays_within_two_arrays(self, spacing, policy):
+        # evenly spaced points on a ring: eps half the spacing leaves no
+        # core, eps twice it closes one chain around the whole ring
+        x = np.arange(PEAK_N) * (4000.0 / PEAK_N)
+        params = DbscanParams(4000.0 / PEAK_N / spacing, 3, policy)
+        domain = CircularDomain(4000.0)
+        peak = peak_allocation(lambda: dbscan_1d_circular(x, params, domain))
+        assert peak <= two_arrays(PEAK_N)
+        labels, clusters = dbscan_1d_circular(x, params, domain)
+        if spacing > 1.0:
+            assert (labels == NOISE).all() and not len(clusters)
+        else:
+            assert (labels == 1).all() and list(clusters) == [Cluster1D(1, 0, PEAK_N - 1)]
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_grouped_peak_allocation_stays_within_three_arrays(self, dense):
+        # stage 2's (group, value) search keys take two N-arrays; they go
+        # before lower comes.  Either 1024 groups of 1024 random values,
+        # or half the values equal in one group (the block that holds its
+        # end counts the bounds of the whole run) and groups of 1000 after it
+        n = PEAK_N
+        if dense:
+            half = n // 2
+            group = np.concatenate((np.zeros(half, np.int64), 1 + np.arange(n - half) // 1000))
+            x = np.concatenate((np.zeros(half), np.arange(n - half) % 1000 * 0.01))
+        else:
+            group = np.arange(n) // 1024
+            x = np.sort(np.random.default_rng(7).random((1024, 1024)), axis=1).ravel()
+        params = DbscanParams(0.002, 4)
+        peak = peak_allocation(lambda: _dbscan_1d_groups(x, group, params))
+        assert peak <= 3 * 8 * n + n + PEAK_SLACK
+
+
+# Peak-allocation bounds: labels, lower and upper are N int64 arrays each,
+# a bool mask one byte a point, and the block scratch fits the slack.  At
+# PEAK_N points one N-array is four times the slack.
+PEAK_SLACK = 2 * 2**20
+PEAK_N = 1 << 20
+
+
+def two_arrays(n):
+    return 2 * 8 * n + n + PEAK_SLACK
+
+
+def peak_allocation(run):
+    """Peak bytes traced while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @st.composite
@@ -703,6 +758,21 @@ def assert_groups_match_per_group_runs(groups, ids, eps, mp, policy):
         start += g.size
 
 
+def lattice_group_cases(count, seed):
+    """Seeded grouped lattice cases ``(groups, ids, eps, min_points)``: up
+    to six groups of 1-12 values on a lattice of steps 0.1, 0.125, 0.3 or
+    0.5, each sorted on its own, with ids rising by 1 or 2 and eps zero,
+    one step or two."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        sizes = rng.integers(1, 13, int(rng.integers(1, 7)))
+        step = float(rng.choice([0.1, 0.125, 0.3, 0.5]))
+        groups = [np.sort(step * rng.integers(0, 9, k)) for k in sizes]
+        ids = np.cumsum(rng.integers(1, 3, sizes.size))
+        eps = step * int(rng.integers(0, 3))
+        yield groups, ids, eps, int(rng.integers(1, 6))
+
+
 class TestRecluster:
     """The stage-2 pass: every group clustered on its own, in one run."""
 
@@ -733,16 +803,11 @@ class TestRecluster:
     def test_small_blocks_match_one_block(self, policy, monkeypatch):
         # blocks of 7, on grouped lattice values, against the one block
         # that holds every case by default
-        rng = np.random.default_rng(23)
-        cases = []
-        for _ in range(300):
-            sizes = rng.integers(1, 13, int(rng.integers(1, 7)))
-            step = float(rng.choice([0.1, 0.125, 0.3, 0.5]))
-            groups = [np.sort(step * rng.integers(0, 9, k)) for k in sizes]
-            ids = np.repeat(np.cumsum(rng.integers(1, 3, sizes.size)), sizes)
-            eps = step * int(rng.integers(0, 3))
-            params = DbscanParams(eps, int(rng.integers(1, 6)), policy)
-            cases.append((np.concatenate(groups), ids, params))
+        cases = [
+            (np.concatenate(groups), np.repeat(ids, [g.size for g in groups]),
+             DbscanParams(eps, mp, policy))
+            for groups, ids, eps, mp in lattice_group_cases(300, seed=23)
+        ]
         want = [(linear_bounds(x, p.epsilon, g), _dbscan_1d_groups(x, g, p)) for x, g, p in cases]
         monkeypatch.setattr(_kernels, "VEC_BLOCK", 7)
         for (x, g, p), ((lower, upper), (labels, clusters)) in zip(cases, want):
