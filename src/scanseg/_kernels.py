@@ -16,7 +16,7 @@ which the tests keep as the reference.
 
 Besides its input, a clustering run holds two arrays of N int64 at a
 time: upper and lower while they are found and read, then the labels,
-which :func:`label_clusters` fills from the ranges alone, after the
+which :func:`fill_labels` fills from the ranges alone, after the
 bounds are gone.  Under AS_NOISE one bool per point, from
 :func:`noncores`, marks the non-cores across that switch.  The grouped
 search keys (below) take 16 bytes a point and go before lower comes.
@@ -62,8 +62,7 @@ VEC_BLOCK = 1 << 15
 
 
 def _blocks(n):
-    for a in range(0, n, VEC_BLOCK):
-        yield a, a + VEC_BLOCK if a + VEC_BLOCK < n else n
+    return [(a, a + VEC_BLOCK if a + VEC_BLOCK < n else n) for a in range(0, n, VEC_BLOCK)]
 
 
 def _last_fit(s, idx, fits):
@@ -129,8 +128,8 @@ def _block_lower(upper, j, a, b, out):
     that number for b.  Upper never decreases, so the points whose bound
     lies in [a, b) come next, j..k-1, and lower[i] is j plus the number of
     them whose bound lies below i: a running count.  A bound below b
-    belongs to a point before b, so k is found among the bounds known so
-    far.  The count runs in pieces of at most a block: in a dense block
+    belongs to a point before b, so k is found among the bounds of those
+    points.  The count runs in pieces of at most a block: in a dense block
     the points that reach it from before can far outnumber it.
     """
     n = upper.shape[0]
@@ -174,20 +173,16 @@ def linear_bounds(x, eps, group=None):
         s = np.empty(n, np.complex128)
         s.real = group
         s.imag = x
+    blocks = _blocks(n)
     upper = np.empty(n, np.int64)
-    lower = np.empty(n, np.int64) if group is None else None
-    j = 0
-    for a, b in _blocks(n):
+    for a, b in blocks:
         upper[a:b] = _block_upper(x, s, eps, a, b, group)
-        if lower is not None:
-            # counted while the block's upper bounds are in cache
-            j = _block_lower(upper, j, a, b, lower[a:b])
-    if lower is None:
-        # the grouped keys, 16 bytes a point, go before lower comes
-        del s
-        lower = np.empty(n, np.int64)
-        for a, b in _blocks(n):
-            j = _block_lower(upper, j, a, b, lower[a:b])
+    # the grouped keys, 16 bytes a point, go before lower comes
+    del s
+    lower = np.empty(n, np.int64)
+    j = 0
+    for a, b in blocks:
+        j = _block_lower(upper, j, a, b, lower[a:b])
     return lower, upper
 
 
@@ -284,7 +279,7 @@ def cluster_ranges(lower, upper, chains, policy, circular):
     from the lower bound of its first core to the upper bound of its last
     (cluster 1's starts one turn down when a chain closes on it).
     ``fill``, a pair of arrays too, holds the segments that
-    label_clusters() labels with the cluster ids.  Under FIRST_CLUSTER a
+    fill_labels() labels with the cluster ids.  Under FIRST_CLUSTER a
     border point goes to the smaller of the (at most two) cluster ids
     that reach it, under ALL_CLUSTERS to the larger; under AS_NOISE a
     segment spans its chain's cores.  Every array scales with the number
@@ -352,7 +347,7 @@ def noncores(lower, upper, min_points):
     return mask
 
 
-def label_clusters(n, fill, noncore):
+def fill_labels(n, fill, noncore):
     """Labels of n points: cluster ids over the ``fill`` segments that
     cluster_ranges() gives, NOISE elsewhere and where ``noncore`` (of
     noncores(), under AS_NOISE; None under the other policies) is true.
@@ -429,4 +424,4 @@ def warmup():
     ):
         chains = core_chains(lower, upper, 2)
         fill = cluster_ranges(lower, upper, chains, "first", circular)[0]
-        label_clusters(x.shape[0], fill, None)
+        fill_labels(x.shape[0], fill, None)

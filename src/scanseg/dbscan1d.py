@@ -337,7 +337,7 @@ def _run(
     noncore = _k.noncores(lower, upper, params.min_points) if policy == "noise" else None
     # the bounds go before the labels come: two N-arrays at a time
     del lower, upper
-    labels = _k.label_clusters(x.shape[0], fill, noncore)
+    labels = _k.fill_labels(x.shape[0], fill, noncore)
     return labels, ClusterSequence(lo, hi)
 
 

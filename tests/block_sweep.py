@@ -7,8 +7,11 @@ Runs the seeded fuzz cases of ``test_dbscan1d.fuzz_cases`` with
 labels, cluster ranges and the derived operation counters must equal the
 counted reference sweep's (``sweep_reference.run_sweep``), as in
 ``test_dbscan1d.assert_matches_sweep``.  In blocks of one point every
-core starts or continues a chain across a block edge.  Exits 1 at the
-first difference.  Tier-1 runs blocks of 2, 7 and 64 on a tenth of the
+core starts or continues a chain across a block edge.  Then, under each
+border policy, ``--count // 30`` grouped lattice cases
+(``test_dbscan1d.lattice_group_cases``) must give, in one grouped pass,
+what one ``dbscan_1d`` per group gives.  Exits 1 at the first
+difference.  Tier-1 runs blocks of 2, 7 and 64 on a tenth of the
 cases (``test_dbscan1d.py``).
 """
 
@@ -79,7 +82,7 @@ def sweep(count: int, seed: int, block: int) -> tuple[int, str | None]:
     try:
         for check, describe_case, cases in (
             (mismatch, describe, fuzz_cases(count, seed)),
-            (grouped_mismatch, describe_groups, grouped_cases(count // 10, seed)),
+            (grouped_mismatch, describe_groups, grouped_cases(count // 30, seed)),
         ):
             for case in cases:
                 try:
