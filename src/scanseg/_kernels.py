@@ -315,7 +315,7 @@ def cluster_ranges(lower, upper, chains, policy, circular):
         lo = reach_lo.copy()
         np.maximum(reach_lo[1:], reach_hi[:-1] + 1, out=lo[1:])
         hi = reach_hi.copy()
-        if circular and k > 1:
+        if circular:
             hi[-1] = min(hi[-1], reach_lo[0] + n - 1)
         fill = lo, hi
     else:
@@ -324,7 +324,7 @@ def cluster_ranges(lower, upper, chains, policy, circular):
         seg_lo = reach_lo.copy()
         seg_hi = reach_hi.copy()
         np.minimum(reach_hi[:-1], reach_lo[1:] - 1, out=seg_hi[:-1])
-        if circular and k > 1:
+        if circular:
             seg_lo[0] = max(seg_lo[0], reach_hi[-1] - n + 1)
         fill = seg_lo, seg_hi
         lo, hi = reach_lo, reach_hi

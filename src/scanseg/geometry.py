@@ -54,8 +54,9 @@ class InsufficientDataError(ValueError):
 def wrap_angle(angle: float, period: float = TWO_PI) -> float:
     """Reduce a scalar angle to [0, period)."""
     a = angle % period
-    # fmod of a tiny negative can round up to the period itself
-    if a >= period or a < 0.0:
+    # a tiny negative can round up to the period itself; a is never below
+    # 0, as Python's % takes the sign of the (positive) period
+    if a >= period:
         a = 0.0
     return a
 
@@ -120,13 +121,18 @@ def tls_fit(points) -> PolarLine:
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    if pts.shape[0] < 2:
-        raise InsufficientDataError("line fit needs at least 2 points")
+    _check_line_size(pts.shape[0])
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     w = np.empty((3, pts.shape[0]))
     w[:2] = pts.T
     return _line_from_moments(*_moments(w, [0, pts.shape[0]])[0])
+
+
+def _check_line_size(n: int) -> None:
+    """tls_fit's InsufficientDataError for a fit of n < 2 points."""
+    if n < 2:
+        raise InsufficientDataError("line fit needs at least 2 points")
 
 
 # as a decorator, errstate costs about half of what a with block does

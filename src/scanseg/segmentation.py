@@ -40,8 +40,6 @@ from .dbscan1d import (
     CircularDomain,
     DbscanParams,
     OpCounters,
-    _check_border_policy,
-    _check_min_points,
     _dbscan_1d_groups,
     _members,
     _real,
@@ -53,15 +51,16 @@ from .geometry import (
     OrientationUndefinedError,
     PolarLine,
     UndefinedMeanError,
+    _check_line_size,
     _circular_sums,
     _line_from_moments,
     _mean_from_sums,
     _moments,
-    circular_mean,
     estimate_local_angles,
-    tls_fit,
     wrap_angle,
 )
+# not called here: perfbench/tracing.py wraps these names of this module
+from .geometry import circular_mean, tls_fit  # noqa: F401
 from .scan import Scan
 
 # Cluster members whose coordinates fit_cluster_lines gathers at once.
@@ -97,8 +96,6 @@ class SegmentationParams:
         epsilon_dist = _real(self.epsilon_dist, "epsilon_dist")
         if not math.isfinite(epsilon_dist) or epsilon_dist <= 0.0:
             raise ValueError(f"epsilon_dist must be > 0, got {self.epsilon_dist}")
-        _check_min_points(self.min_points)
-        _check_border_policy(self.border_policy)
         stages = (
             DbscanParams(self.epsilon_theta, self.min_points, self.border_policy),
             DbscanParams(self.epsilon_dist, self.min_points, self.border_policy),
@@ -148,8 +145,6 @@ def angular_segmentation(
     theta = estimate_local_angles(scan.x, scan.y, scan.valid, scan.full_circle)
     # every invalid beam's angle is NaN, so each finite angle is valid
     orig = np.flatnonzero(np.isfinite(theta)).astype(np.int64)
-    if orig.size < params.min_points:
-        return []
 
     # stage 1: cluster by direction on the half-circle
     perm = orig[_order(theta[orig])]
@@ -215,20 +210,14 @@ def _order(key: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
 def _cluster_means(theta: np.ndarray, ends: list[int]) -> list[tuple[float, bool]]:
     """(circular mean on the half-circle, fallback) of each theta[a:b].
 
-    a and b are consecutive entries of ends.  Where a mean is undefined,
-    circular_mean runs on the cluster and raises, and the median member's
-    angle stands in (fallback True).
+    a and b are consecutive entries of ends.  Each mean is decided once,
+    from the cluster's sums, as circular_mean decides it; where it is
+    undefined, the median member's angle stands in (fallback True).
     """
     means = []
     for (c, s), a, b in zip(_circular_sums(theta, ends, math.pi), ends, ends[1:]):
         try:
-            try:
-                mean = _mean_from_sums(c, s, b - a, math.pi)
-            except UndefinedMeanError:
-                # so that the failure passes through the module's name for
-                # circular_mean, where a caller can observe it
-                mean = circular_mean(theta[a:b], math.pi)
-            means.append((mean, False))
+            means.append((_mean_from_sums(c, s, b - a, math.pi), False))
         except UndefinedMeanError:
             means.append((float(theta[(a + b) // 2]), True))
     return means
@@ -238,11 +227,12 @@ def fit_cluster_lines(scan: Scan, clusters: list[FeatureCluster]) -> list[Featur
     """Fit a total least squares line to each cluster's member points.
 
     Mutates the clusters: fitted_line on success, fit_error (cluster
-    retained, no line) when the member geometry is degenerate.  Each line
-    has the bits tls_fit gives for the cluster's points, in the order of
-    its point_indices, and raises tls_fit's ValueError when the moments
-    overflow float64.  Consecutive clusters are fitted together, up to
-    _FIT_BLOCK members at a time (a larger cluster alone).
+    retained, no line) where tls_fit on the cluster's points, in the
+    order of its point_indices, would raise InsufficientDataError,
+    DegenerateFitError or OrientationUndefinedError; each line and error
+    text is the one tls_fit gives.  Raises tls_fit's ValueError when the
+    moments overflow float64.  Consecutive clusters are fitted together,
+    up to _FIT_BLOCK members at a time (a larger cluster alone).
     """
     lo = size = 0
     for hi, c in enumerate(clusters):
@@ -259,9 +249,9 @@ def _fit_block(scan: Scan, block: list[FeatureCluster]) -> None:
     """fit_cluster_lines for clusters whose members are gathered at once.
 
     The first two rows of one (3, m) array take the members' coordinates,
-    each cluster in its own columns, for geometry._moments.  A cluster
-    whose line fails runs through tls_fit on its points, which raises
-    what it raises for them.
+    each cluster in its own columns, for geometry._moments.  Each line or
+    error is decided once, by tls_fit's size check and then from the
+    cluster's moments.
     """
     # one cluster's indices are used as they are, so that a cluster above
     # _FIT_BLOCK members costs no more memory than tls_fit on its points
@@ -275,15 +265,7 @@ def _fit_block(scan: Scan, block: list[FeatureCluster]) -> None:
     ends = [0, *itertools.accumulate(c.size for c in block)]
     for c, moments in zip(block, _moments(w, ends)):
         try:
+            _check_line_size(c.size)
             c.fitted_line = _line_from_moments(*moments)
-            continue
-        except ValueError:
-            pass
-        # the fit fails (below two members the moments are 0 and the line
-        # degenerate): tls_fit runs on the points and raises, through the
-        # module's name for it, where a caller can observe the failure
-        try:
-            idx = c.point_indices
-            c.fitted_line = tls_fit(np.column_stack((scan.x[idx], scan.y[idx])))
         except (DegenerateFitError, OrientationUndefinedError, InsufficientDataError) as e:
             c.fit_error = str(e)

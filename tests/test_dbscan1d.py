@@ -1,5 +1,6 @@
 """Sorted 1D density clustering: bounds, full runs, counters."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,12 @@ class TestNeighborhoodBounds:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             calculate_neighborhood([0.0, np.nan], 1.0)
+
+    @pytest.mark.parametrize("values", [[-np.inf, 0.0, 1.0], [0.0, 1.0, np.inf]])
+    def test_infinite_end_rejected(self, values):
+        # sorted input is finite throughout when both ends are
+        with pytest.raises(ValueError, match=r"^values must be finite$"):
+            dbscan_1d(values, DbscanParams(0.5, 1))
 
     def test_circular_domain_violations(self):
         dom = CircularDomain(TWO_PI)
@@ -961,6 +968,10 @@ class TestParams:
             CircularDomain("6.28")
         CircularDomain(np.array(6.28))
 
+    def test_infinite_period_rejected(self):
+        with pytest.raises(ValueError, match=r"^period must be finite and > 0, got inf$"):
+            CircularDomain(math.inf)
+
 
 class TestClusterSequence:
     def test_sequence_protocol(self):
@@ -973,6 +984,21 @@ class TestClusterSequence:
         assert list(reversed(list(clusters)))[0] == clusters[-1]
         with pytest.raises(IndexError):
             clusters[len(clusters)]
+
+    def test_index_below_minus_length_raises(self):
+        clusters = ClusterSequence(np.array([0, 4]), np.array([2, 6]))
+        assert clusters[-2].id == 1
+        with pytest.raises(IndexError, match=r"^cluster index out of range$"):
+            clusters[-3]
+
+    def test_equality_compares_every_range(self):
+        clusters = ClusterSequence(np.array([0, 4]), np.array([2, 6]))
+        assert clusters == ClusterSequence(np.array([0, 4]), np.array([2, 6]))
+        assert clusters != ClusterSequence(np.array([0, 4]), np.array([2, 7]))
+        assert clusters != ClusterSequence(np.array([0, 3]), np.array([2, 6]))
+        assert clusters == list(clusters)
+        assert clusters != [*clusters, Cluster1D(3, 8, 9)]
+        assert clusters != [clusters[0], Cluster1D(2, 4, 7)]
 
 
 def test_neighborhood_rejects_negative_epsilon():

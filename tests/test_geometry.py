@@ -650,6 +650,11 @@ def test_tls_fit_rejects_three_columns():
         tls_fit(np.zeros((4, 3)))
 
 
+def test_tls_fit_rejects_one_dimension():
+    with pytest.raises(ValueError, match=r"^points must have shape \(n, 2\), got \(4,\)$"):
+        tls_fit(np.zeros(4))
+
+
 def test_circular_mean_rejects_two_dimensions():
     with pytest.raises(ValueError, match=r"^angles must be one-dimensional, got shape \(2, 2\)$"):
         circular_mean(np.zeros((2, 2)))
@@ -672,6 +677,16 @@ def test_circular_mean_refuses_a_period_whose_full_turn_scale_overflows():
 def test_local_angles_reject_unequal_lengths():
     with pytest.raises(ValueError, match=r"^x, y, valid must be one-dimensional and equally long$"):
         estimate_local_angles(np.zeros(4), np.zeros(3), np.ones(4, bool))
+
+
+@pytest.mark.parametrize(
+    "x, valid",
+    [(np.zeros((2, 3)), np.ones((2, 3), bool)), (np.zeros(4), np.ones(5, bool))],
+)
+def test_local_angles_reject_other_shapes(x, valid):
+    # equal 2-D shapes, and a valid mask of another length
+    with pytest.raises(ValueError, match=r"^x, y, valid must be one-dimensional and equally long$"):
+        estimate_local_angles(x, x, valid)
 
 
 def test_line_through_origin_needs_a_half_turn_normal():

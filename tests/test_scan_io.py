@@ -325,6 +325,18 @@ class TestRoomModel:
         with pytest.raises(ValueError):
             RoomModel(np.array([[0.0, 0.0], [1.0, 0.0]]), (0.5, 0.1, 0.0))
 
+    @pytest.mark.parametrize("vertices", [np.zeros(6), np.zeros((4, 3)), np.zeros((2, 2))])
+    def test_vertices_must_be_a_polygon_array(self, vertices):
+        shape = re.escape(str(vertices.shape))
+        with pytest.raises(ValueError, match=rf"^vertices must have shape \(V >= 3, 2\), got {shape}$"):
+            RoomModel(vertices)
+
+    @pytest.mark.parametrize("sensor", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+    def test_sensor_must_be_a_triple(self, sensor):
+        verts = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^sensor must be a finite \(x, y, heading\) triple$"):
+            RoomModel(verts, sensor)
+
     def test_zero_length_edge(self):
         with pytest.raises(ValueError):
             RoomModel(
@@ -438,6 +450,10 @@ class TestRoomModel:
         with pytest.raises(ValueError, match=r"^dropout_probability must be a number, got '0\.5'$"):
             NoiseModel(0.0, "0.5")
         NoiseModel(np.float64(0.1), np.array(0.5))
+
+    def test_noise_model_rejects_infinite_sigma(self):
+        with pytest.raises(ValueError, match=r"^sigma must be >= 0, got inf$"):
+            NoiseModel(range_noise_sigma=math.inf)
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_noise_model_rejects_bad_seed(self, seed):
@@ -611,6 +627,14 @@ def beam_angles(room, beams):
 
 
 class TestRayCastEquivalence:
+    @pytest.mark.parametrize("vertex, wall", [(0, 0), (2, 1)])
+    def test_vertex_hit_names_the_lower_edge(self, vertex, wall):
+        """A beam through vertex i hits edge i - 1, which that vertex closes,
+        except through vertex 0, where edge 0 is the lowest it touches."""
+        verts = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        u = math.sqrt(0.5) * verts[vertex]
+        assert _vertex_hit(verts, 0.0, 0.0, *u) == (math.sqrt(2.0), wall)
+
     @pytest.mark.parametrize(
         "beams", [1, _BEAM_BLOCK - 1, _BEAM_BLOCK, _BEAM_BLOCK + 1, 3 * _BEAM_BLOCK + 17]
     )
