@@ -17,11 +17,14 @@ integers are left out; repr takes one digit (5e-324).  Trailing zeros
 are dropped in greedy steps of 16, 8, 4, 2 and 1, each dividing by a
 scalar power of ten.  An integer is written as ``%d`` writes it.
 
-A block of rows is one matrix of little-endian uint64 words, a fixed
-run of words per field.  Digits go eight to a word by SWAR arithmetic
-(each byte of a word a lane), so every step works on whole columns;
-bytes a value does not use hold 0, and one mask over the matrix's bytes
-drops them.
+A set of rows is one matrix of little-endian uint64 words, a fixed run
+of words per field, formatted a block of rows at a time (_table).
+Digits go eight to a word by SWAR arithmetic (each byte of a word a
+lane), so every step works on whole columns; bytes a value does not use
+hold 0, and one mask over the matrix's bytes drops them (_text).
+``rows`` is the two in turn.  A caller that writes many equal rows can
+instead format each distinct row once and take the text of gathers of
+that table's rows.
 """
 
 from __future__ import annotations
@@ -249,8 +252,10 @@ def _lengths(v: np.ndarray) -> np.ndarray:
 _FIELD = re.compile(r"%([rd])")
 
 
-def rows(line: str, columns) -> str:
-    """``line % row`` for each row of the equal-length columns, joined.
+def _table(line: str, columns, block: int) -> np.ndarray:
+    """The word matrix of ``line % row`` for each row of the equal-length
+    columns, one row of words per row, formatted ``block`` rows at a time
+    so that the kernels' temporaries are those of one block.
 
     ``line`` is a ``%r`` for each float column or a ``%d`` for each
     column of bools or of integers within int64, each followed by up to
@@ -263,11 +268,24 @@ def rows(line: str, columns) -> str:
     ):
         raise ValueError(f"unsupported row template {line!r}")
     sizes = [4 if k == "r" else _int_size(c, t) for k, c, t in zip(kinds, columns, separators)]
-    text = np.empty((len(columns[0]) if columns else 0, sum(sizes)), "<u8")
-    at = 0
-    for kind, column, separator, size in zip(kinds, columns, separators, sizes):
-        put = _put_floats if kind == "r" else _put_ints
-        put(text[:, at : at + size], column, separator)
-        at += size
-    text = text.view(np.uint8).reshape(-1)
+    n = len(columns[0]) if columns else 0
+    table = np.empty((n, sum(sizes)), "<u8")
+    for start in range(0, n, block):
+        at = 0
+        for kind, column, separator, size in zip(kinds, columns, separators, sizes):
+            put = _put_floats if kind == "r" else _put_ints
+            put(table[start : start + block, at : at + size], column[start : start + block], separator)
+            at += size
+    return table
+
+
+def _text(table: np.ndarray) -> str:
+    """The rows of a word matrix as text: its bytes without the zeros."""
+    text = table.view(np.uint8).reshape(-1)
     return text[text != 0].tobytes().decode("ascii")
+
+
+def rows(line: str, columns) -> str:
+    """``line % row`` for each row of the equal-length columns, joined,
+    with ``line`` as in _table."""
+    return _text(_table(line, columns, max(len(columns[0]) if columns else 0, 1)))

@@ -3,9 +3,12 @@
 Four subcommands: ``cluster`` runs 1D clustering on a point-list file,
 ``segment`` runs the two-stage scan pipeline, ``generate`` writes a
 synthetic room scan, ``bench`` emits experiment CSVs.  Data goes to the
-output file or stdout, written through :mod:`scanseg.scan_io` (its
-block row writer for label columns); diagnostics and timings go to
-stderr; exit code 0 means the operation completed.
+output file or stdout; diagnostics and timings go to stderr; exit code 0
+means the operation completed.  Every row of text comes from one kernel,
+:mod:`scanseg._text`: ``segment`` streams its label column through
+:mod:`scanseg.scan_io`'s block row writer, and ``cluster`` formats each
+distinct (value, label) row once, into one table of words, and writes
+its rows in file order as gathers from that table.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import time
 
 import numpy as np
 
+from . import scan_io
+from ._text import _table, _text
 from .bench import bench_epsilon_sweep, bench_scaling, write_csv
 from .dbscan1d import (
     BorderPolicy,
@@ -48,17 +53,37 @@ def _cmd_cluster(args) -> int:
     # and ends on a whole run of equal values and equal values get equal
     # labels, under every policy, on a line and on a ring
     order = np.argsort(values)
-    sorted_values = values[order]
+    values = values[order]
     t1 = time.perf_counter_ns()
     if period is not None:
-        labels, clusters = dbscan_1d_circular(sorted_values, params, CircularDomain(period))
+        labels, clusters = dbscan_1d_circular(values, params, CircularDomain(period))
     else:
-        labels, clusters = dbscan_1d(sorted_values, params)
+        labels, clusters = dbscan_1d(values, params)
     t2 = time.perf_counter_ns()
-    original_labels = np.empty_like(labels)
-    original_labels[order] = labels
+    # each distinct row is formatted once, since quantized values repeat:
+    # a run of sorted rows starts where the value's bits (so -0.0 and 0.0
+    # keep their own text) or the label change, the table holds the words
+    # of each run's first row, and each block of file rows is written as
+    # the text of its rows' runs.  What the table does not need is dropped
+    # before it is built: on distinct values it holds 40 bytes a row
+    n = values.size
+    first = np.ones(n, bool)
+    bits = values.view(np.uint64)
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    first[1:] |= labels[1:] != labels[:-1]
+    run = np.cumsum(first, dtype=np.int32 if n < 2**31 else np.intp)
+    run -= 1
+    row_of = np.empty_like(run)
+    row_of[order] = run
+    del order, bits, run
+    firsts = values[first], labels[first]
+    del values, labels, first
+    block = scan_io._WRITE_BLOCK
+    table = _table("%r\t%d\n", firsts, block)
+    del firsts
     with _maybe_open(args.output or sys.stdout, "w") as out:
-        _write_rows(out, "%r\t%d\n", values, original_labels)
+        for start in range(0, n, block):
+            out.write(_text(np.take(table, row_of[start : start + block], axis=0)))
         for c in clusters:
             out.write(f"# cluster id={c.id} lower={c.lower} upper={c.upper} size={c.size}\n")
     t3 = time.perf_counter_ns()

@@ -11,10 +11,12 @@ Both are ASCII: a line holding any other byte, or any other character
 read from a file object, raises ScanFormatError naming that line, and
 so does a line holding a line break other than "\n", "\r\n" or "\r".
 Floats are written as repr writes them, which round-trips every finite
-double exactly, by one block row writer that the scanseg command uses
-for its label columns too: a vectorized shortest round-trip kernel
-(Schubfach, in scanseg._text) formats each block of rows as one byte
-matrix.
+double exactly, by one block row writer, which ``scanseg segment`` uses
+for its label column too: a vectorized shortest round-trip kernel
+(Schubfach, in scanseg._text) formats each block of rows as one word
+matrix.  ``scanseg cluster`` formats through the same kernel, each
+distinct row once, and gathers its rows from that table in blocks of
+_WRITE_BLOCK.
 
 Files are read in blocks of whole lines of bounded size, each a
 fixed-size read plus the rest of the line it ends in, and each ending in

@@ -4,9 +4,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scanseg
 from scanseg import (
@@ -20,6 +24,7 @@ from scanseg import (
     load_scan,
     save_scan,
 )
+from scanseg import scan_io
 from scanseg.cli import main
 
 SRC = os.path.dirname(os.path.dirname(scanseg.__file__))
@@ -265,6 +270,112 @@ def test_cluster_bytes_do_not_hang_on_tie_order(tmp_path, capsys, period):
         texts.add(text)
     assert len(texts) == 3
     assert "\n-0.0\t" in text and "\n0.0\t" in text
+
+
+def cluster_file_text(path, epsilon, min_points, policy, period):
+    """What scanseg cluster writes for the point list at ``path``."""
+    output = os.path.join(os.path.dirname(path), "clusters.txt")
+    args = ["cluster", path, "--epsilon", repr(epsilon), "--min-points", str(min_points),
+            "--border-policy", policy, "--output", output]
+    if period is not None:
+        args += ["--circular-period", repr(period)]
+    assert main(args) == 0
+    with open(output, encoding="ascii") as f:
+        return f.read()
+
+
+def point_file(directory, values):
+    path = os.path.join(directory, "points.txt")
+    with open(path, "w", encoding="ascii") as f:
+        f.write("".join(f"{v!r}\n" for v in values.tolist()))
+    return path
+
+
+_RNG = np.random.Generator(np.random.Philox(31))
+# each row of the cluster output is formatted once per distinct (value,
+# label) and gathered in file order: runs longer than a write block,
+# signed zeros side by side in the sort, no run longer than one row, one
+# row and none
+CLUSTER_INPUTS = {
+    "long run": _RNG.permutation(np.repeat([0.1, 0.25, 0.9], [3, 2 * scan_io._WRITE_BLOCK + 5, 20])),
+    "signed zeros": np.concatenate((np.tile([-0.0, 0.0], 150), np.full(5, 2.0**-12))),
+    "all distinct": _RNG.uniform(0.0, 1.0, 10_000),
+    "one value": np.array([0.5]),
+    "empty": np.empty(0),
+}
+
+
+@pytest.mark.parametrize("period", [None, 1.0])
+@pytest.mark.parametrize("name", list(CLUSTER_INPUTS))
+def test_cluster_bytes_match_stable_text(tmp_path, name, period):
+    values = CLUSTER_INPUTS[name]
+    path = point_file(tmp_path, values)
+    for policy in BorderPolicy:
+        text = cluster_file_text(path, 2e-4, 4, policy.value, period)
+        assert text == stable_cluster_text(values, 2e-4, 4, policy.value, period)
+
+
+Q = 2.0**-4  # a lattice step that makes every value and epsilon exact
+LATTICE = st.lists(st.sampled_from([-0.0, *(Q * k for k in range(16))]), max_size=80)
+
+
+@settings(max_examples=150)
+@given(
+    values=LATTICE,
+    epsilon=st.sampled_from([0.0, Q, 2 * Q]),
+    min_points=st.integers(1, 6),
+    policy=st.sampled_from([p.value for p in BorderPolicy]),
+    period=st.sampled_from([None, 1.0]),
+)
+def test_cluster_bytes_across_write_blocks(values, epsilon, min_points, policy, period):
+    """Many repeats on a small lattice (one that chains across the ring's
+    seam), written in blocks of 7 rows, so that runs of equal rows and the
+    gathers of their text cross block edges."""
+    values = np.array(values, np.float64)
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as m:
+        m.setattr(scan_io, "_WRITE_BLOCK", 7)
+        text = cluster_file_text(point_file(d, values), epsilon, min_points, policy, period)
+    assert text == stable_cluster_text(values, epsilon, min_points, policy, period)
+
+
+def cluster_peak(directory, values):
+    """tracemalloc's peak over a second scanseg cluster run on ``values``
+    on a ring, after one that warms every lazy import and table."""
+    path = os.path.join(directory, "bearings.txt")
+    with open(path, "w", encoding="ascii") as f:
+        f.write(f"# circular period={2.0 * np.pi!r}\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+    args = ["cluster", path, "--epsilon", "3e-4", "--min-points", "16", "--border-policy", "all",
+            "--output", os.path.join(directory, "clusters.txt")]
+    assert main(args) == 0
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def quantized_bearings(n, rng):
+    """n bearings in 24 dense groups quantized to 1e-4 rad, as encoder
+    bearings are: about 5e3 distinct values."""
+    centers = 2.0 * np.pi * np.arange(24) / 24
+    values = rng.choice(centers, n) + rng.uniform(-0.01, 0.01, n)
+    return np.floor((values % (2.0 * np.pi)) / 1e-4) * 1e-4
+
+
+@pytest.mark.parametrize("kind, bound", [("quantized", 8_880_000), ("distinct", 14_000_000)])
+def test_cluster_peak_allocation_stays_bounded(tmp_path, kind, bound):
+    """Formatting every row, the command peaked at 9.35 MB on 2e5
+    quantized bearings and at 9.37 MB on 2e5 distinct ones.  The table of
+    distinct rows is small on the first, which must not peak higher than
+    8.88 MB; on the second it holds every row, 40 bytes each, and the
+    peak must stay within 1.5 times that of formatting every row."""
+    rng = np.random.Generator(np.random.Philox(7))
+    if kind == "quantized":
+        values = quantized_bearings(200_000, rng)
+    else:
+        values = rng.uniform(0.0, 2.0 * np.pi, 200_000)
+    assert cluster_peak(tmp_path, values) <= bound
 
 
 class TestSegment:
