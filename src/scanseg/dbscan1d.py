@@ -16,7 +16,9 @@ spans the array.  Each call makes the same kernel calls in turn, each
 returning its arrays: neighborhood bounds, chains of linked cores,
 cluster ranges, then the labels, filled once the bounds are dropped.  A
 call that passes ``counters=`` adds to them the steps and touches the
-paper's sweep would make on those bounds and chains.
+paper's sweep would make on those bounds and chains.  The scan
+segmentation takes only the ranges: it lists each cluster's members from
+its range, with no label per point.
 
 Neighborhoods are closed: a point at distance exactly ``epsilon`` counts.
 A circular variant treats values as positions on a ring of a given period,
@@ -160,11 +162,11 @@ class Cluster1D(NamedTuple):
 
     Circular clusters that cross the seam keep ``lower`` in [0, N) and
     let ``upper`` run past N - 1; ``indices`` maps back through modulo.
-    Under every policy a cluster's members are the positions of its
-    range that are not labelled noise.  Under AS_NOISE the range spans
-    the absorbed cores, and a non-core point between them is noise.
-    Under ALL_CLUSTERS ranges may overlap, and labels record only the
-    last claimant.
+    A cluster's members are the positions of its range, so the labels
+    are not needed to list them, except under AS_NOISE: there the range
+    spans the absorbed cores, and a non-core point between them is
+    noise.  Under ALL_CLUSTERS ranges may overlap, and labels record
+    only the last claimant.
     """
 
     id: int
@@ -233,16 +235,20 @@ class ClusterSequence(Sequence):
         return f"ClusterSequence(<{len(self)} clusters>)"
 
 
-def _members(labels: np.ndarray, clusters: ClusterSequence) -> tuple[np.ndarray, np.ndarray]:
+def _members(
+    clusters: ClusterSequence, n: int, noncore: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Member positions of all clusters in cluster order, and the cluster of each.
 
-    A cluster's members are the positions of its range, wrapped across the
-    seam and ascending, that are not labelled noise.  FIRST_CLUSTER fills
-    the labels from the ranges; under AS_NOISE a range spans its chain's
-    cores and the non-cores inside it are noise; under ALL_CLUSTERS a range
-    is the chain's full reach, none of it noise, labelled for the last claimant.
+    ``clusters`` and ``noncore`` are what :func:`_ranges` gives for n
+    points.  A cluster's members are the positions of its range, wrapped
+    across the seam and ascending, less the non-cores under AS_NOISE, so
+    no labels are needed: FIRST_CLUSTER labels each range whole,
+    ALL_CLUSTERS gives each the chain's full reach, none of it noise, and
+    under AS_NOISE a range spans its chain's cores, and only the non-cores
+    between them are noise.
     """
-    lo, hi, n = clusters._lo, clusters._hi, labels.shape[0]
+    lo, hi = clusters._lo, clusters._hi
     sizes = hi - lo + 1
     starts = sizes.cumsum() - sizes
     cluster = np.arange(sizes.shape[0]).repeat(sizes)
@@ -252,7 +258,9 @@ def _members(labels: np.ndarray, clusters: ClusterSequence) -> tuple[np.ndarray,
         run = pos[starts[c] : starts[c] + sizes[c]]
         run %= n
         run.sort()
-    keep = labels[pos] != NOISE
+    if noncore is None:
+        return pos, cluster
+    keep = ~noncore[pos]
     return pos[keep], cluster[keep]
 
 
@@ -314,15 +322,26 @@ def calculate_neighborhood_circular(
     return _k.circular_bounds(x, epsilon, domain.period)
 
 
-def _run(
-    x: np.ndarray,
+def _ranges(
+    values,
     params: DbscanParams,
     domain: CircularDomain | None,
     counters: OpCounters | None,
     group: np.ndarray | None = None,
-) -> tuple[np.ndarray, ClusterSequence]:
+) -> tuple[int, tuple[np.ndarray, np.ndarray], ClusterSequence, np.ndarray | None]:
+    """The first half of a clustering run, on values checked as the public
+    calls check them: ``(n, fill, clusters, noncore)``.
+
+    Finds the bounds, the chains and the cluster ranges, adds the sweep's
+    counts to ``counters`` if given, and under AS_NOISE marks the non-cores
+    (``noncore`` is None under the other policies).  ``fill`` holds the
+    label segments of :func:`_kernels.fill_labels`, the second half.  The
+    bounds go before this returns, so the labels never meet them.
+    """
+    x = _checked_values(values, group)
     circular = domain is not None
     if circular:
+        _checked_circular(x, params.epsilon, domain)
         lower, upper = _k.circular_bounds(x, params.epsilon, domain.period)
     else:
         lower, upper = _k.linear_bounds(x, params.epsilon, group)
@@ -335,10 +354,19 @@ def _run(
             reach, chains, x.shape[0], policy, circular
         )
     noncore = _k.noncores(lower, upper, params.min_points) if policy == "noise" else None
-    # the bounds go before the labels come: two N-arrays at a time
-    del lower, upper
-    labels = _k.fill_labels(x.shape[0], fill, noncore)
-    return labels, ClusterSequence(lo, hi)
+    return x.shape[0], fill, ClusterSequence(lo, hi), noncore
+
+
+def _run(
+    values,
+    params: DbscanParams,
+    domain: CircularDomain | None,
+    counters: OpCounters | None,
+    group: np.ndarray | None = None,
+) -> tuple[np.ndarray, ClusterSequence]:
+    """Both halves of a clustering run: ``(labels, clusters)``."""
+    n, fill, clusters, noncore = _ranges(values, params, domain, counters, group)
+    return _k.fill_labels(n, fill, noncore), clusters
 
 
 def dbscan_1d(
@@ -353,8 +381,7 @@ def dbscan_1d(
     cluster ids for members, clusters the absorbed index ranges in
     discovery (ascending seed) order.
     """
-    x = _checked_values(values)
-    return _run(x, params, None, counters)
+    return _run(values, params, None, counters)
 
 
 def dbscan_1d_circular(
@@ -370,9 +397,7 @@ def dbscan_1d_circular(
     cluster spanning all N points.  Cluster ranges may be unwrapped; see
     :class:`Cluster1D`.
     """
-    x = _checked_values(values)
-    _checked_circular(x, params.epsilon, domain)
-    return _run(x, params, domain, counters)
+    return _run(values, params, domain, counters)
 
 
 def _dbscan_1d_groups(
@@ -389,5 +414,4 @@ def _dbscan_1d_groups(
     one ``dbscan_1d`` call per group in turn, with cluster ids and indices
     running on across the groups: no cluster range leaves its group.
     """
-    x = _checked_values(values, group)
-    return _run(x, params, None, counters, group)
+    return _run(values, params, None, counters, group)

@@ -40,11 +40,12 @@ from .dbscan1d import (
     CircularDomain,
     DbscanParams,
     OpCounters,
-    _dbscan_1d_groups,
     _members,
+    _ranges,
     _real,
-    dbscan_1d_circular,
 )
+# not called here: perfbench/tracing.py wraps this name of this module
+from .dbscan1d import dbscan_1d_circular  # noqa: F401
 from .geometry import (
     DegenerateFitError,
     InsufficientDataError,
@@ -152,19 +153,20 @@ def angular_segmentation(
     # free megabytes on a large scan before the clustering adds its own
     del theta, orig
     stage1, stage2 = params._stages
-    labels1, angular_clusters = dbscan_1d_circular(
-        theta_sorted, stage1, _HALF_TURN, counters=counters
-    )
+    # each stage runs only the first half of its clustering, with the
+    # checks of dbscan_1d_circular and _dbscan_1d_groups, and lists the
+    # members from the ranges: no label per point
+    n, _, angular_clusters, noncore = _ranges(theta_sorted, stage1, _HALF_TURN, counters)
 
     # stage 2: within each angular cluster, recluster by signed distance
     # to the through-origin line at the mean direction; all clusters in one
     # pass, each sorted by distance in its own run
     if not angular_clusters:
         return []
-    pos, group = _members(labels1, angular_clusters)
+    pos, group = _members(angular_clusters, n, noncore)
     member_theta = theta_sorted[pos]
     member_orig = perm[pos]
-    del perm, theta_sorted, labels1, pos
+    del perm, theta_sorted, noncore, pos
     means = _cluster_means(member_theta, [0, *np.bincount(group).cumsum().tolist()])
     normals = [wrap_angle(mean + 0.5 * math.pi) for mean, _ in means]
     # the products of signed_distance_to_origin_line, for all members at once
@@ -179,17 +181,19 @@ def angular_segmentation(
     sub_orig = member_orig[order]
     dist = dist[order]
     del member_orig, order
-    labels2, subclusters = _dbscan_1d_groups(dist, group, stage2, counters=counters)
-    spos, sub = _members(labels2, subclusters)
+    n, _, subclusters, noncore = _ranges(dist, stage2, None, counters, group)
+    spos, sub = _members(subclusters, n, noncore)
     # each subcluster's members ascending, subclusters in order: unique keys
     member_orig = np.sort(sub * scan.beams + sub_orig[spos]) % scan.beams
     out: list[FeatureCluster] = []
     ends = [0, *np.bincount(sub).cumsum().tolist()]
-    for sc, a, b in zip(subclusters, ends, ends[1:]):
+    # the angular cluster of each subcluster, whose run holds its range
+    parents = group[subclusters._lo].tolist()
+    for parent, a, b in zip(parents, ends, ends[1:]):
         # a border-stealing earlier cluster can push a late cluster
         # below the floor; such remnants count as noise
         if b - a >= params.min_points:
-            out.append(FeatureCluster(len(out) + 1, member_orig[a:b], *means[group[sc.lower]]))
+            out.append(FeatureCluster(len(out) + 1, member_orig[a:b], *means[parent]))
     return out
 
 

@@ -10,9 +10,10 @@ counted reference sweep's (``sweep_reference.run_sweep``), as in
 core starts or continues a chain across a block edge.  Then, under each
 border policy, ``--count // 30`` grouped lattice cases
 (``test_dbscan1d.lattice_group_cases``) must give, in one grouped pass,
-what one ``dbscan_1d`` per group gives.  Exits 1 at the first
-difference.  Tier-1 runs blocks of 2, 7 and 64 on a tenth of the
-cases (``test_dbscan1d.py``).
+what one ``dbscan_1d`` per group gives, and the members that the grouped
+pass lists from its ranges alone must be those its labels give
+(``members_reference``).  Exits 1 at the first difference.  Tier-1 runs
+blocks of 2, 7 and 64 on a tenth of the cases (``test_dbscan1d.py``).
 """
 
 from __future__ import annotations
@@ -23,12 +24,18 @@ import time
 
 import numpy as np
 
-from scanseg import CircularDomain, calculate_neighborhood, calculate_neighborhood_circular
+from scanseg import (
+    CircularDomain,
+    DbscanParams,
+    calculate_neighborhood,
+    calculate_neighborhood_circular,
+)
 from scanseg import _kernels
 from test_dbscan1d import (
     POLICIES,
     assert_groups_match_per_group_runs,
     assert_matches_sweep,
+    assert_members_match_reference,
     fuzz_cases,
     lattice_group_cases,
 )
@@ -54,11 +61,18 @@ def describe(x, eps, period, mp, policy) -> str:
 
 
 def grouped_mismatch(groups, ids, eps, mp, policy) -> str | None:
-    """How the grouped pass differs from the per-group runs, or None."""
+    """How the grouped pass differs from the per-group runs or its members
+    from the label rule, or None."""
     try:
         assert_groups_match_per_group_runs(groups, ids, eps, mp, policy)
     except AssertionError:
         return "grouped labels, ranges, counters or bounds"
+    values = np.concatenate(groups)
+    group = np.repeat(ids, [g.size for g in groups])
+    try:
+        assert_members_match_reference(values, DbscanParams(eps, mp, policy), group=group)
+    except AssertionError:
+        return "grouped members"
     return None
 
 

@@ -23,9 +23,10 @@ from scanseg import (
 )
 from scanseg import _kernels
 from scanseg._kernels import VEC_BLOCK, linear_bounds, sweep_steps
-from scanseg.dbscan1d import _dbscan_1d_groups, _members
+from scanseg.dbscan1d import _dbscan_1d_groups, _members, _ranges
 from scanseg.bench import generate_separated_clusters, scaling_epsilon
 from scanseg.oracle import density_reachable_closure, naive_dbscan, naive_neighborhood
+from members_reference import reference_members
 from sweep_reference import run_sweep
 
 TWO_PI = 2.0 * np.pi
@@ -346,6 +347,29 @@ class TestOracleEquivalence:
                 np.testing.assert_array_equal(closure, members)
 
 
+def range_members(values, params, domain=None, group=None):
+    """``(clusters, pos, cluster)``: the ranges of one clustering run and
+    _members on them, as the scan segmentation takes them, with no labels."""
+    n, _, clusters, noncore = _ranges(values, params, domain, None, group)
+    return clusters, *_members(clusters, n, noncore)
+
+
+def assert_members_match_reference(values, params, domain=None, group=None):
+    """The range-only _members equals the label rule of members_reference
+    on the public call's labels, and its ranges are the public call's."""
+    if group is not None:
+        labels, clusters = _dbscan_1d_groups(values, group, params)
+    elif domain is None:
+        labels, clusters = dbscan_1d(values, params)
+    else:
+        labels, clusters = dbscan_1d_circular(values, params, domain)
+    ranges, pos, cluster = range_members(values, params, domain, group)
+    assert ranges == clusters
+    want_pos, want_cluster = reference_members(labels, clusters)
+    np.testing.assert_array_equal(pos, want_pos)
+    np.testing.assert_array_equal(cluster, want_cluster)
+
+
 def assert_members_match_oracle(x, eps, mp, policy, period=None):
     """_members gives each cluster's oracle member set, in cluster order.
 
@@ -358,7 +382,7 @@ def assert_members_match_oracle(x, eps, mp, policy, period=None):
         labels, clusters = dbscan_1d(x, params)
     else:
         labels, clusters = dbscan_1d_circular(x, params, CircularDomain(period))
-    pos, cluster = _members(labels, clusters)
+    _, pos, cluster = range_members(x, params, None if period is None else CircularDomain(period))
     assert (np.diff(cluster) >= 0).all()
     if policy is BorderPolicy.ALL_CLUSTERS:
         sizes = np.array([naive_neighborhood(x, i, eps, period).size for i in range(x.size)])
@@ -399,6 +423,18 @@ class TestMembers:
     def test_seeded_fuzz(self):
         for x, eps, period, mp, policy in fuzz_cases(600, seed=23):
             assert_members_match_oracle(x, eps, mp, policy, period)
+
+    def test_seeded_fuzz_matches_label_rule(self):
+        # line and ring cases as they are, then the values of each as
+        # grouped input: whole, then their first half again in a group
+        # that starts below where the first one ends
+        for x, eps, period, mp, policy in fuzz_cases(600, seed=23):
+            params = DbscanParams(eps, mp, policy)
+            domain = None if period is None else CircularDomain(period)
+            assert_members_match_reference(x, params, domain)
+            half = x[: x.size // 2 + 1]
+            group = np.repeat([0, 2], [x.size, half.size])
+            assert_members_match_reference(np.concatenate((x, half)), params, group=group)
 
 
 @st.composite

@@ -936,7 +936,7 @@ _CALL_OPS = {
     if name in dis.opmap
 }
 # calls out of the package by 20 seed-1 scans-360 operations
-SCANS_360_OUTSIDE_CALLS = 4665
+SCANS_360_OUTSIDE_CALLS = 4505
 
 
 def outside_calls(fn) -> int:
