@@ -18,13 +18,13 @@ Besides its input, a clustering run holds two arrays of N int64 at a
 time: upper and lower while they are found and read, then the labels,
 which :func:`fill_labels` fills from the ranges alone, after the
 bounds are gone.  Under AS_NOISE one bool per point, from
-:func:`noncores`, marks the non-cores across that switch.  A caller that
-needs only each cluster's members, as the scan segmentation does, fills
-no labels: the members are the positions of the ranges, less the
-non-cores under AS_NOISE, so the bounds and then that mask are its only
-N-arrays.  The grouped search keys (below) take 16 bytes a point and go
-before lower comes.  Every other array scales with a block or with the
-number of clusters.
+:func:`noncores`, marks the non-cores across that switch.  A run that
+lists only each cluster's members, ``dbscan1d._members`` (one per stage
+of the scan segmentation), fills no labels: the members are the
+positions of the ranges, less the non-cores under AS_NOISE, so the
+bounds and then that mask are its only N-arrays.  The grouped search
+keys (below) take 16 bytes a point and go before lower comes.  Every
+other array scales with a block or with the number of clusters.
 
 The paper's operation counts follow from the same arrays: the pointer
 steps that sweep would make from the bounds (:func:`sweep_steps`), its

@@ -16,9 +16,9 @@ spans the array.  Each call makes the same kernel calls in turn, each
 returning its arrays: neighborhood bounds, chains of linked cores,
 cluster ranges, then the labels, filled once the bounds are dropped.  A
 call that passes ``counters=`` adds to them the steps and touches the
-paper's sweep would make on those bounds and chains.  The scan
-segmentation takes only the ranges: it lists each cluster's members from
-its range, with no label per point.
+paper's sweep would make on those bounds and chains.  Each stage of the
+scan segmentation makes one ``_members`` call, which stops at the ranges
+and lists each cluster's members from its range, with no label per point.
 
 Neighborhoods are closed: a point at distance exactly ``epsilon`` counts.
 A circular variant treats values as positions on a ring of a given period,
@@ -235,35 +235,6 @@ class ClusterSequence(Sequence):
         return f"ClusterSequence(<{len(self)} clusters>)"
 
 
-def _members(
-    clusters: ClusterSequence, n: int, noncore: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Member positions of all clusters in cluster order, and the cluster of each.
-
-    ``clusters`` and ``noncore`` are what :func:`_ranges` gives for n
-    points.  A cluster's members are the positions of its range, wrapped
-    across the seam and ascending, less the non-cores under AS_NOISE, so
-    no labels are needed: FIRST_CLUSTER labels each range whole,
-    ALL_CLUSTERS gives each the chain's full reach, none of it noise, and
-    under AS_NOISE a range spans its chain's cores, and only the non-cores
-    between them are noise.
-    """
-    lo, hi = clusters._lo, clusters._hi
-    sizes = hi - lo + 1
-    starts = sizes.cumsum() - sizes
-    cluster = np.arange(sizes.shape[0]).repeat(sizes)
-    pos = np.arange(cluster.shape[0]) + (lo - starts).repeat(sizes)
-    # only a ring has ranges past n - 1; wrapped, such a run ascends once sorted
-    for c in (hi >= n).nonzero()[0].tolist():
-        run = pos[starts[c] : starts[c] + sizes[c]]
-        run %= n
-        run.sort()
-    if noncore is None:
-        return pos, cluster
-    keep = ~noncore[pos]
-    return pos[keep], cluster[keep]
-
-
 def _checked_values(values, group=None) -> np.ndarray:
     x = np.ascontiguousarray(values, dtype=np.float64)
     if x.ndim != 1:
@@ -328,15 +299,16 @@ def _ranges(
     domain: CircularDomain | None,
     counters: OpCounters | None,
     group: np.ndarray | None = None,
-) -> tuple[int, tuple[np.ndarray, np.ndarray], ClusterSequence, np.ndarray | None]:
+) -> tuple[int, tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray | None]:
     """The first half of a clustering run, on values checked as the public
-    calls check them: ``(n, fill, clusters, noncore)``.
+    calls check them: ``(n, fill, lo, hi, noncore)``.
 
-    Finds the bounds, the chains and the cluster ranges, adds the sweep's
-    counts to ``counters`` if given, and under AS_NOISE marks the non-cores
-    (``noncore`` is None under the other policies).  ``fill`` holds the
-    label segments of :func:`_kernels.fill_labels`, the second half.  The
-    bounds go before this returns, so the labels never meet them.
+    Finds the bounds, the chains and the cluster ranges ``lo[c]..hi[c]``,
+    adds the sweep's counts to ``counters`` if given, and under AS_NOISE
+    marks the non-cores (``noncore`` is None under the other policies).
+    ``fill`` holds the label segments of :func:`_kernels.fill_labels`, the
+    second half.  The bounds go before this returns, so the labels never
+    meet them.  ``group`` is that of :func:`_members`.
     """
     x = _checked_values(values, group)
     circular = domain is not None
@@ -354,7 +326,7 @@ def _ranges(
             reach, chains, x.shape[0], policy, circular
         )
     noncore = _k.noncores(lower, upper, params.min_points) if policy == "noise" else None
-    return x.shape[0], fill, ClusterSequence(lo, hi), noncore
+    return x.shape[0], fill, lo, hi, noncore
 
 
 def _run(
@@ -362,11 +334,47 @@ def _run(
     params: DbscanParams,
     domain: CircularDomain | None,
     counters: OpCounters | None,
-    group: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ClusterSequence]:
     """Both halves of a clustering run: ``(labels, clusters)``."""
-    n, fill, clusters, noncore = _ranges(values, params, domain, counters, group)
-    return _k.fill_labels(n, fill, noncore), clusters
+    n, fill, lo, hi, noncore = _ranges(values, params, domain, counters)
+    return _k.fill_labels(n, fill, noncore), ClusterSequence(lo, hi)
+
+
+def _members(
+    values,
+    params: DbscanParams,
+    domain: CircularDomain | None,
+    counters: OpCounters | None,
+    group: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A clustering run that fills no labels: ``(pos, cluster, lo)``, the
+    member positions of all clusters in cluster order, the 0-based cluster
+    of each, and each cluster's first range position.
+
+    A cluster's members are the positions of its range, wrapped across the
+    seam and ascending, less the non-cores under AS_NOISE: FIRST_CLUSTER
+    labels each range whole, ALL_CLUSTERS gives each the chain's full
+    reach, none of it noise, and under AS_NOISE a range spans its chain's
+    cores, and only the non-cores between them are noise.
+
+    With ``group``, a non-decreasing integer id per value, values sorted
+    within each group, the clusters and counters are those of one
+    ``dbscan_1d`` call per group in turn: no range leaves its group.
+    """
+    n, _, lo, hi, noncore = _ranges(values, params, domain, counters, group)
+    sizes = hi - lo + 1
+    starts = sizes.cumsum() - sizes
+    cluster = np.arange(sizes.shape[0]).repeat(sizes)
+    pos = np.arange(cluster.shape[0]) + (lo - starts).repeat(sizes)
+    # only a ring has ranges past n - 1; wrapped, such a run ascends once sorted
+    for c in (hi >= n).nonzero()[0].tolist():
+        run = pos[starts[c] : starts[c] + sizes[c]]
+        run %= n
+        run.sort()
+    if noncore is None:
+        return pos, cluster, lo
+    keep = ~noncore[pos]
+    return pos[keep], cluster[keep], lo
 
 
 def dbscan_1d(
@@ -399,19 +407,3 @@ def dbscan_1d_circular(
     """
     return _run(values, params, domain, counters)
 
-
-def _dbscan_1d_groups(
-    values,
-    group: np.ndarray,
-    params: DbscanParams,
-    *,
-    counters: OpCounters | None = None,
-) -> tuple[np.ndarray, ClusterSequence]:
-    """Cluster each group of values on its own, all groups in one pass.
-
-    ``group`` is a non-decreasing integer id per value, and values must be
-    sorted within each group.  Labels, clusters and counters are those of
-    one ``dbscan_1d`` call per group in turn, with cluster ids and indices
-    running on across the groups: no cluster range leaves its group.
-    """
-    return _run(values, params, None, counters, group)

@@ -41,7 +41,6 @@ from .dbscan1d import (
     DbscanParams,
     OpCounters,
     _members,
-    _ranges,
     _real,
 )
 # not called here: perfbench/tracing.py wraps this name of this module
@@ -153,20 +152,19 @@ def angular_segmentation(
     # free megabytes on a large scan before the clustering adds its own
     del theta, orig
     stage1, stage2 = params._stages
-    # each stage runs only the first half of its clustering, with the
-    # checks of dbscan_1d_circular and _dbscan_1d_groups, and lists the
-    # members from the ranges: no label per point
-    n, _, angular_clusters, noncore = _ranges(theta_sorted, stage1, _HALF_TURN, counters)
+    # each stage makes one clustering run, its input checked as the public
+    # calls check theirs, and lists the members from the ranges: no label
+    # per point
+    pos, group, _ = _members(theta_sorted, stage1, _HALF_TURN, counters)
 
     # stage 2: within each angular cluster, recluster by signed distance
     # to the through-origin line at the mean direction; all clusters in one
     # pass, each sorted by distance in its own run
-    if not angular_clusters:
+    if not pos.size:
         return []
-    pos, group = _members(angular_clusters, n, noncore)
     member_theta = theta_sorted[pos]
     member_orig = perm[pos]
-    del perm, theta_sorted, noncore, pos
+    del perm, theta_sorted, pos
     means = _cluster_means(member_theta, [0, *np.bincount(group).cumsum().tolist()])
     normals = [wrap_angle(mean + 0.5 * math.pi) for mean, _ in means]
     # the products of signed_distance_to_origin_line, for all members at once
@@ -181,14 +179,13 @@ def angular_segmentation(
     sub_orig = member_orig[order]
     dist = dist[order]
     del member_orig, order
-    n, _, subclusters, noncore = _ranges(dist, stage2, None, counters, group)
-    spos, sub = _members(subclusters, n, noncore)
+    spos, sub, sub_lo = _members(dist, stage2, None, counters, group)
     # each subcluster's members ascending, subclusters in order: unique keys
     member_orig = np.sort(sub * scan.beams + sub_orig[spos]) % scan.beams
     out: list[FeatureCluster] = []
     ends = [0, *np.bincount(sub).cumsum().tolist()]
     # the angular cluster of each subcluster, whose run holds its range
-    parents = group[subclusters._lo].tolist()
+    parents = group[sub_lo].tolist()
     for parent, a, b in zip(parents, ends, ends[1:]):
         # a border-stealing earlier cluster can push a late cluster
         # below the floor; such remnants count as noise

@@ -10,10 +10,11 @@ counted reference sweep's (``sweep_reference.run_sweep``), as in
 core starts or continues a chain across a block edge.  Then, under each
 border policy, ``--count // 30`` grouped lattice cases
 (``test_dbscan1d.lattice_group_cases``) must give, in one grouped pass,
-what one ``dbscan_1d`` per group gives, and the members that the grouped
-pass lists from its ranges alone must be those its labels give
-(``members_reference``).  Exits 1 at the first difference.  Tier-1 runs
-blocks of 2, 7 and 64 on a tenth of the cases (``test_dbscan1d.py``).
+what one ``dbscan_1d`` per group gives, and the members that stage 2's
+call, ``dbscan1d._members``, lists from the grouped ranges alone must be
+those the grouped labels give (``members_reference``).  Exits 1 at the
+first difference.  Tier-1 runs blocks of 2, 7 and 64 on a tenth of the
+cases (``test_dbscan1d.py``).
 """
 
 from __future__ import annotations

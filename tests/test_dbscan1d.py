@@ -14,7 +14,9 @@ from scanseg import (
     Cluster1D,
     ClusterSequence,
     DbscanParams,
+    NoiseModel,
     OpCounters,
+    SegmentationParams,
     UnsortedInputError,
     calculate_neighborhood,
     calculate_neighborhood_circular,
@@ -23,7 +25,7 @@ from scanseg import (
 )
 from scanseg import _kernels
 from scanseg._kernels import VEC_BLOCK, linear_bounds, sweep_steps
-from scanseg.dbscan1d import _dbscan_1d_groups, _members, _ranges
+from scanseg.dbscan1d import _members, _ranges
 from scanseg.bench import generate_separated_clusters, scaling_epsilon
 from scanseg.oracle import density_reachable_closure, naive_dbscan, naive_neighborhood
 from members_reference import reference_members
@@ -347,24 +349,23 @@ class TestOracleEquivalence:
                 np.testing.assert_array_equal(closure, members)
 
 
-def range_members(values, params, domain=None, group=None):
-    """``(clusters, pos, cluster)``: the ranges of one clustering run and
-    _members on them, as the scan segmentation takes them, with no labels."""
-    n, _, clusters, noncore = _ranges(values, params, domain, None, group)
-    return clusters, *_members(clusters, n, noncore)
+def grouped_run(values, group, params, counters=None):
+    """``(labels, clusters)`` of one grouped pass, as dbscan_1d gives them."""
+    n, fill, lo, hi, noncore = _ranges(values, params, None, counters, group)
+    return _kernels.fill_labels(n, fill, noncore), ClusterSequence(lo, hi)
 
 
 def assert_members_match_reference(values, params, domain=None, group=None):
     """The range-only _members equals the label rule of members_reference
-    on the public call's labels, and its ranges are the public call's."""
+    on the labels of a full run, and its ``lo`` is that run's lowers."""
     if group is not None:
-        labels, clusters = _dbscan_1d_groups(values, group, params)
+        labels, clusters = grouped_run(values, group, params)
     elif domain is None:
         labels, clusters = dbscan_1d(values, params)
     else:
         labels, clusters = dbscan_1d_circular(values, params, domain)
-    ranges, pos, cluster = range_members(values, params, domain, group)
-    assert ranges == clusters
+    pos, cluster, lo = _members(values, params, domain, None, group)
+    np.testing.assert_array_equal(lo, [c.lower for c in clusters])
     want_pos, want_cluster = reference_members(labels, clusters)
     np.testing.assert_array_equal(pos, want_pos)
     np.testing.assert_array_equal(cluster, want_cluster)
@@ -378,11 +379,12 @@ def assert_members_match_oracle(x, eps, mp, policy, period=None):
     it is the positions labelled with the cluster's id.
     """
     params = DbscanParams(eps, mp, policy)
-    if period is None:
+    domain = None if period is None else CircularDomain(period)
+    if domain is None:
         labels, clusters = dbscan_1d(x, params)
     else:
-        labels, clusters = dbscan_1d_circular(x, params, CircularDomain(period))
-    _, pos, cluster = range_members(x, params, None if period is None else CircularDomain(period))
+        labels, clusters = dbscan_1d_circular(x, params, domain)
+    pos, cluster, _ = _members(x, params, domain, None)
     assert (np.diff(cluster) >= 0).all()
     if policy is BorderPolicy.ALL_CLUSTERS:
         sizes = np.array([naive_neighborhood(x, i, eps, period).size for i in range(x.size)])
@@ -704,10 +706,11 @@ class TestCountedPathEquivalence:
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_grouped_peak_allocation_stays_within_three_arrays(self, dense):
-        # stage 2's (group, value) search keys take two N-arrays; they go
-        # before lower comes.  Either 1024 groups of 1024 random values,
-        # or half the values equal in one group (the block that holds its
-        # end counts the bounds of the whole run) and groups of 1000 after it
+        # stage 2's call: its (group, value) search keys take two
+        # N-arrays; they go before lower comes.  Either 1024 groups of 1024
+        # random values, or half the values equal in one group (the block
+        # that holds its end counts the bounds of the whole run) and groups
+        # of 1000 after it
         n = PEAK_N
         if dense:
             half = n // 2
@@ -717,7 +720,7 @@ class TestCountedPathEquivalence:
             group = np.arange(n) // 1024
             x = np.sort(np.random.default_rng(7).random((1024, 1024)), axis=1).ravel()
         params = DbscanParams(0.002, 4)
-        peak = peak_allocation(lambda: _dbscan_1d_groups(x, group, params))
+        peak = peak_allocation(lambda: _members(x, params, None, None, group))
         assert peak <= 3 * 8 * n + n + PEAK_SLACK
 
 
@@ -777,7 +780,7 @@ def assert_groups_match_per_group_runs(groups, ids, eps, mp, policy):
     values = np.concatenate(groups)
     group = np.repeat(ids, [g.size for g in groups])
     counters = OpCounters()
-    labels, clusters = _dbscan_1d_groups(values, group, params, counters=counters)
+    labels, clusters = grouped_run(values, group, params, counters)
     want_labels, want_ranges = [], []
     want = OpCounters()
     start = 0
@@ -851,13 +854,13 @@ class TestRecluster:
              DbscanParams(eps, mp, policy))
             for groups, ids, eps, mp in lattice_group_cases(300, seed=23)
         ]
-        want = [(linear_bounds(x, p.epsilon, g), _dbscan_1d_groups(x, g, p)) for x, g, p in cases]
+        want = [(linear_bounds(x, p.epsilon, g), grouped_run(x, g, p)) for x, g, p in cases]
         monkeypatch.setattr(_kernels, "VEC_BLOCK", 7)
         for (x, g, p), ((lower, upper), (labels, clusters)) in zip(cases, want):
             got_lower, got_upper = linear_bounds(x, p.epsilon, g)
             np.testing.assert_array_equal(got_lower, lower)
             np.testing.assert_array_equal(got_upper, upper)
-            got_labels, got_clusters = _dbscan_1d_groups(x, g, p)
+            got_labels, got_clusters = grouped_run(x, g, p)
             np.testing.assert_array_equal(got_labels, labels)
             assert got_clusters == clusters
 
@@ -866,7 +869,7 @@ class TestRecluster:
         params = DbscanParams(0.15, 3)
         for _ in range(50):
             x = np.sort(rng.random(int(rng.integers(1, 80))))
-            labels, clusters = _dbscan_1d_groups(x, np.zeros(x.size, np.int64), params)
+            labels, clusters = grouped_run(x, np.zeros(x.size, np.int64), params)
             fresh_labels, fresh_clusters = dbscan_1d(x, params)
             np.testing.assert_array_equal(labels, fresh_labels)
             assert list(clusters) == list(fresh_clusters)
@@ -896,7 +899,7 @@ class TestRecluster:
 
     def test_slice_below_min_points_is_noise(self):
         x = np.array([1.0, 1.01, 1.0, 1.01])
-        labels, clusters = _dbscan_1d_groups(x, np.array([0, 0, 1, 1]), DbscanParams(0.5, 3))
+        labels, clusters = grouped_run(x, np.array([0, 0, 1, 1]), DbscanParams(0.5, 3))
         assert labels.tolist() == [-1, -1, -1, -1]
         assert len(clusters) == 0
 
@@ -904,7 +907,7 @@ class TestRecluster:
         params = DbscanParams(0.5, 2)
 
         def run(values, group=(0, 0, 0)):
-            return _dbscan_1d_groups(values, np.array(group), params)
+            return _members(values, params, None, None, np.array(group))
 
         with pytest.raises(UnsortedInputError):
             run([3.0, 1.0, 2.0])
@@ -916,7 +919,9 @@ class TestRecluster:
         with pytest.raises(ValueError, match="one-dimensional"):
             run([[1.0, 2.0], [3.0, 4.0]])
         # a new group may start below the last one's end
-        labels, _ = run([3.0, 1.0, 1.2], (0, 1, 1))
+        pos, cluster, lo = run([3.0, 1.0, 1.2], (0, 1, 1))
+        assert (pos.tolist(), cluster.tolist(), lo.tolist()) == ([1, 2], [0, 0], [1])
+        labels, _ = grouped_run(np.array([3.0, 1.0, 1.2]), np.array([0, 1, 1]), params)
         assert labels.tolist() == [-1, 1, 1]
 
 
@@ -948,7 +953,7 @@ class TestNearFloatMax:
     def test_grouped_labels_match_oracle(self, policy):
         params = DbscanParams(self.EPS, 2, policy)
         x = np.concatenate((self.X, self.X))
-        labels, _ = _dbscan_1d_groups(x, np.repeat([0, 1], self.X.size), params)
+        labels, _ = grouped_run(x, np.repeat([0, 1], self.X.size), params)
         one = naive_dbscan(self.X, self.EPS, 2, border_policy=policy)
         later = np.where(one == NOISE, NOISE, one + one.max())
         np.testing.assert_array_equal(labels, np.concatenate((one, later)))
@@ -1007,6 +1012,23 @@ class TestParams:
     def test_infinite_period_rejected(self):
         with pytest.raises(ValueError, match=r"^period must be finite and > 0, got inf$"):
             CircularDomain(math.inf)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda big: DbscanParams(big, 3), "epsilon must be finite and >= 0"),
+            (lambda big: CircularDomain(big), "period must be finite and > 0"),
+            (lambda big: SegmentationParams(0.1, big, 3), "epsilon_dist must be > 0"),
+            (lambda big: NoiseModel(big), "sigma must be >= 0"),
+        ],
+        ids=["DbscanParams", "CircularDomain", "SegmentationParams", "NoiseModel"],
+    )
+    def test_int_past_float_range_rejected(self, make, message):
+        # an int too large for a float reads as inf, which no field takes
+        big = 10**400
+        with pytest.raises(ValueError) as raised:
+            make(big)
+        assert str(raised.value) == f"{message}, got {big}"
 
 
 class TestClusterSequence:
