@@ -11,8 +11,9 @@ reaches i, and across the seam of a ring the first point whose bound
 reaches n + i, less n.  On a line that is a running count of the upper
 bounds, taken block by block; for the head of a ring, a search of them.
 Cluster ranges then follow from chains of linked cores, and labels from
-the ranges.  All are bit-identical to the paper's counted O(N) sweep,
-which the tests keep as the reference.
+the ranges alone, by one rule under every border policy: a point that
+two ranges share goes to the later range.  All are bit-identical to the
+paper's counted O(N) sweep, which the tests keep as the reference.
 
 Besides its input, a clustering run holds two arrays of N int64 at a
 time: upper and lower while they are found and read, then the labels,
@@ -21,10 +22,12 @@ bounds are gone.  Under AS_NOISE one bool per point, from
 :func:`noncores`, marks the non-cores across that switch.  A run that
 lists only each cluster's members, ``dbscan1d._members`` (one per stage
 of the scan segmentation), fills no labels: the members are the
-positions of the ranges, less the non-cores under AS_NOISE, so the
-bounds and then that mask are its only N-arrays.  The grouped search
-keys (below) take 16 bytes a point and go before lower comes.  Every
-other array scales with a block or with the number of clusters.
+positions of the ranges, less the non-cores under AS_NOISE.  After the
+bounds it holds two N-arrays, the positions and the cluster of each;
+under AS_NOISE the mask and the kept copies of both come on top.  The
+grouped search keys (below) take 16 bytes a point and go before lower
+comes.  Every other array scales with a block or with the number of
+clusters.
 
 The paper's operation counts follow from the same arrays: the pointer
 steps that sweep would make from the bounds (:func:`sweep_steps`), its
@@ -60,7 +63,7 @@ NOISE = -1
 # clusters follow from their first and last cores.  Work runs in blocks of
 # VEC_BLOCK points, the count of upper bounds that gives lower too, in
 # pieces of at most a block: only the bounds, the grouped search keys, the
-# labels and the non-core mask scale with N.
+# labels or member lists and the non-core mask scale with N.
 
 VEC_BLOCK = 1 << 15
 
@@ -269,25 +272,27 @@ def core_chains(lower, upper, min_points):
 
 
 def cluster_ranges(lower, upper, chains, policy, circular):
-    """Cluster ranges from the bounds; returns ``(fill, lo, hi, reach)``.
+    """Cluster ranges from the bounds; returns ``(raw, lo, hi, reach)``.
 
     ``chains`` is core_chains() of the same bounds and ``policy`` a border
     policy value: "first", "all" or "noise".  Gives the ranges of the
     paper's sweep on these bounds, including its order of discovery:
     clusters are numbered by the first core an ascending sweep meets, so
     on a ring the chain through index 0 is cluster 1 and takes in the
-    chain that closes on it across the seam.
-    The closed ranges lo[c]..hi[c] come back normalized: every lo lies in
-    [0, n), and a range across the seam runs hi past n - 1.  ``reach``,
-    a pair of arrays, holds the unwrapped reach of each cluster's chains:
-    from the lower bound of its first core to the upper bound of its last
-    (cluster 1's starts one turn down when a chain closes on it).
-    ``fill``, a pair of arrays too, holds the segments that
-    fill_labels() labels with the cluster ids.  Under FIRST_CLUSTER a
+    chain that closes on it across the seam.  Under FIRST_CLUSTER a
     border point goes to the smaller of the (at most two) cluster ids
-    that reach it, under ALL_CLUSTERS to the larger; under AS_NOISE a
-    segment spans its chain's cores.  Every array scales with the number
-    of clusters, so the bounds can go before the labels come.
+    that reach it, so the ranges are disjoint; under ALL_CLUSTERS a
+    range is the full reach of its chains, and ranges may overlap; under
+    AS_NOISE a range spans its chain's cores.
+    The closed ranges lo[c]..hi[c] come back normalized: every lo lies in
+    [0, n), and a range across the seam runs hi past n - 1.  ``raw``, a
+    pair of arrays, holds the same ranges before that move, ascending,
+    where only the first may start below 0: fill_labels() labels them.
+    ``reach``, a pair of arrays too, holds the unwrapped reach of each
+    cluster's chains: from the lower bound of its first core to the upper
+    bound of its last (cluster 1's starts one turn down when a chain
+    closes on it).  Every array scales with the number of clusters, so
+    the bounds can go before the labels come.
     """
     n = upper.shape[0]
     first, last, cores = chains
@@ -298,22 +303,19 @@ def cluster_ranges(lower, upper, chains, policy, circular):
         # the last chain closes on the first one across the seam
         first = np.concatenate(([first[-1] - n], first[1:-1]))
         last = last[:-1]
-    k = first.size
     # a chain closed across the seam starts one turn down, at a negative
     # index that reads its place one turn up
     reach_lo = lower[first]
     if first[0] < 0:
         reach_lo[0] -= n
     reach_hi = upper[last]
-    if k == 1 and circular and (
+    if first.size == 1 and circular and (
         cores == n if policy == "noise" else reach_hi[0] - reach_lo[0] + 1 >= n
     ):
         # every point is absorbed: the whole ring, from the seed
         lo, hi = seed, seed + n - 1
-        fill = lo, hi
     elif policy == "noise":
         lo, hi = first, last
-        fill = lo, hi
     elif policy == "first":
         # each cluster keeps what it reaches before the next one can
         lo = reach_lo.copy()
@@ -321,24 +323,17 @@ def cluster_ranges(lower, upper, chains, policy, circular):
         hi = reach_hi.copy()
         if circular:
             hi[-1] = min(hi[-1], reach_lo[0] + n - 1)
-        fill = lo, hi
     else:
-        # ALL_CLUSTERS: ranges are the full reach, labels go to the last
-        # claimant
-        seg_lo = reach_lo.copy()
-        seg_hi = reach_hi.copy()
-        np.minimum(reach_hi[:-1], reach_lo[1:] - 1, out=seg_hi[:-1])
-        if circular:
-            seg_lo[0] = max(seg_lo[0], reach_hi[-1] - n + 1)
-        fill = seg_lo, seg_hi
+        # ALL_CLUSTERS: each range is its chains' full reach
         lo, hi = reach_lo, reach_hi
+    raw = lo, hi
     if lo[0] < 0:
         # a range that starts below index 0 (only the first can) is
         # reported one turn up
         lo, hi = lo.copy(), hi.copy()
         lo[0] += n
         hi[0] += n
-    return fill, lo, hi, (reach_lo, reach_hi)
+    return raw, lo, hi, (reach_lo, reach_hi)
 
 
 def noncores(lower, upper, min_points):
@@ -351,34 +346,36 @@ def noncores(lower, upper, min_points):
     return mask
 
 
-def fill_labels(n, fill, noncore):
-    """Labels of n points: cluster ids over the ``fill`` segments that
-    cluster_ranges() gives, NOISE elsewhere and where ``noncore`` (of
-    noncores(), under AS_NOISE; None under the other policies) is true.
+def fill_labels(n, ranges, noncore):
+    """Labels of n points: cluster ids over the ``ranges`` that
+    cluster_ranges() gives as ``raw``, NOISE elsewhere and where
+    ``noncore`` (of noncores(), under AS_NOISE; None under the other
+    policies) is true.
 
-    Segment c, the closed range fill[0][c]..fill[1][c], takes id c + 1.
-    Segments are unwrapped, sorted by start and disjoint modulo n: only
-    the first may start below 0 and only the last may end past n - 1,
-    never both.  Works by adding steps and one cumsum, so the labels are
-    the one N-array it makes.
+    Range c, the closed range ranges[0][c]..ranges[1][c], takes id c + 1.
+    Ranges are unwrapped, ascending and each at most n long; a point two
+    ranges share goes to the later one (the last claimant, under
+    ALL_CLUSTERS; the ranges of the other policies are disjoint).  Works
+    by adding steps at each range's ends, taken modulo n, and one cumsum,
+    so the labels are the one N-array it makes.
     """
-    start, end = fill
-    if not start.size:
+    lo, hi = ranges
+    if not lo.size:
         return np.full(n, NOISE, np.int64)
-    step = np.arange(1 - NOISE, start.size + 1 - NOISE, dtype=np.int64)
+    start = lo % n
+    end = hi.copy()
+    np.minimum(hi[:-1], lo[1:] - 1, out=end[:-1])
+    # across the seam of a ring the first range yields to the last; on a
+    # line hi[-1] - n + 1 <= 0 <= lo[0]
+    start[0] = max(lo[0], hi[-1] - n + 1) % n
+    end %= n
+    step = np.arange(1 - NOISE, lo.size + 1 - NOISE, dtype=np.int64)
     labels = np.zeros(n, np.int64)
-    labels[0] = NOISE
-    # a negative start indexes its place one turn up
+    # a range that crosses the seam also runs from index 0 to its end
+    labels[0] = NOISE + step[start > end].sum()
     labels[start] += step
     stop = end < n - 1
     labels[end[stop] + 1] -= step[stop]
-    if start[0] < 0:
-        # the first segment also runs from index 0 to its end
-        labels[0] += step[0]
-    elif end[-1] >= n:
-        # the last segment goes on from index 0, one turn down
-        labels[0] += step[-1]
-        labels[end[-1] - n + 1] -= step[-1]
     np.cumsum(labels, out=labels)
     if noncore is not None:
         labels[noncore] = NOISE
@@ -427,5 +424,5 @@ def warmup():
         (True, circular_bounds(x, 0.1, 2.0 * np.pi)),
     ):
         chains = core_chains(lower, upper, 2)
-        fill = cluster_ranges(lower, upper, chains, "first", circular)[0]
-        fill_labels(x.shape[0], fill, None)
+        raw = cluster_ranges(lower, upper, chains, "first", circular)[0]
+        fill_labels(x.shape[0], raw, None)

@@ -21,7 +21,8 @@ A set of rows is one matrix of little-endian uint64 words, a fixed run
 of words per field, formatted a block of rows at a time (_table).
 Digits go eight to a word by SWAR arithmetic (each byte of a word a
 lane), so every step works on whole columns; bytes a value does not use
-hold 0, and one mask over the matrix's bytes drops them (_text).
+hold 0, and one ``bytes.translate`` of the matrix's bytes drops them
+(_text).
 ``rows`` is the two in turn.  A caller that writes many equal rows can
 instead format each distinct row once and take the text of gathers of
 that table's rows.
@@ -281,8 +282,7 @@ def _table(line: str, columns, block: int) -> np.ndarray:
 
 def _text(table: np.ndarray) -> str:
     """The rows of a word matrix as text: its bytes without the zeros."""
-    text = table.view(np.uint8).reshape(-1)
-    return text[text != 0].tobytes().decode("ascii")
+    return table.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def rows(line: str, columns) -> str:

@@ -301,13 +301,14 @@ def _ranges(
     group: np.ndarray | None = None,
 ) -> tuple[int, tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray | None]:
     """The first half of a clustering run, on values checked as the public
-    calls check them: ``(n, fill, lo, hi, noncore)``.
+    calls check them: ``(n, raw, lo, hi, noncore)``.
 
     Finds the bounds, the chains and the cluster ranges ``lo[c]..hi[c]``,
     adds the sweep's counts to ``counters`` if given, and under AS_NOISE
     marks the non-cores (``noncore`` is None under the other policies).
-    ``fill`` holds the label segments of :func:`_kernels.fill_labels`, the
-    second half.  The bounds go before this returns, so the labels never
+    ``raw`` holds the same ranges before the first one is moved one turn
+    up, from which :func:`_kernels.fill_labels`, the second half, labels
+    the points.  The bounds go before this returns, so the labels never
     meet them.  ``group`` is that of :func:`_members`.
     """
     x = _checked_values(values, group)
@@ -319,14 +320,14 @@ def _ranges(
         lower, upper = _k.linear_bounds(x, params.epsilon, group)
     policy = params.border_policy.value
     chains = _k.core_chains(lower, upper, params.min_points)
-    fill, lo, hi, reach = _k.cluster_ranges(lower, upper, chains, policy, circular)
+    raw, lo, hi, reach = _k.cluster_ranges(lower, upper, chains, policy, circular)
     if counters is not None:
         counters.neighborhood_steps += _k.sweep_steps(lower, upper)
         counters.expand_touches += _k.sweep_touches(
             reach, chains, x.shape[0], policy, circular
         )
     noncore = _k.noncores(lower, upper, params.min_points) if policy == "noise" else None
-    return x.shape[0], fill, lo, hi, noncore
+    return x.shape[0], raw, lo, hi, noncore
 
 
 def _run(
@@ -336,8 +337,8 @@ def _run(
     counters: OpCounters | None,
 ) -> tuple[np.ndarray, ClusterSequence]:
     """Both halves of a clustering run: ``(labels, clusters)``."""
-    n, fill, lo, hi, noncore = _ranges(values, params, domain, counters)
-    return _k.fill_labels(n, fill, noncore), ClusterSequence(lo, hi)
+    n, raw, lo, hi, noncore = _ranges(values, params, domain, counters)
+    return _k.fill_labels(n, raw, noncore), ClusterSequence(lo, hi)
 
 
 def _members(
@@ -364,8 +365,9 @@ def _members(
     n, _, lo, hi, noncore = _ranges(values, params, domain, counters, group)
     sizes = hi - lo + 1
     starts = sizes.cumsum() - sizes
+    pos = (lo - starts).repeat(sizes)
+    pos += np.arange(pos.shape[0])
     cluster = np.arange(sizes.shape[0]).repeat(sizes)
-    pos = np.arange(cluster.shape[0]) + (lo - starts).repeat(sizes)
     # only a ring has ranges past n - 1; wrapped, such a run ascends once sorted
     for c in (hi >= n).nonzero()[0].tolist():
         run = pos[starts[c] : starts[c] + sizes[c]]

@@ -204,17 +204,13 @@ def circular_mean(angles, period: float = TWO_PI) -> float:
     if a.size == 0:
         raise InsufficientDataError("circular mean of an empty set")
     period = _real(period, "period")
-    # in range means finite too (min and max are NaN if any angle is, and
-    # an infinity fails a bound), so the finiteness scan runs only to name
-    # what is wrong
-    in_range = 0.0 <= a.min() and a.max() < period
-    if not in_range and not np.isfinite(a).all():
+    if not np.isfinite(a).all():
         raise ValueError("angles must be finite")
     if not 0.0 < period < math.inf:
         raise ValueError(f"period must be finite and > 0, got {period}")
     if TWO_PI / period == math.inf:
         raise ValueError(f"period too small: 2 pi / period overflows float64, got {period!r}")
-    if not in_range:
+    if not (0.0 <= a.min() and a.max() < period):
         raise ValueError(f"angles must lie in [0, {period!r})")
     return _mean_from_sums(*_circular_sums(a, [0, a.size], period)[0], a.size, period)
 

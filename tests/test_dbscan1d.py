@@ -351,8 +351,8 @@ class TestOracleEquivalence:
 
 def grouped_run(values, group, params, counters=None):
     """``(labels, clusters)`` of one grouped pass, as dbscan_1d gives them."""
-    n, fill, lo, hi, noncore = _ranges(values, params, None, counters, group)
-    return _kernels.fill_labels(n, fill, noncore), ClusterSequence(lo, hi)
+    n, raw, lo, hi, noncore = _ranges(values, params, None, counters, group)
+    return _kernels.fill_labels(n, raw, noncore), ClusterSequence(lo, hi)
 
 
 def assert_members_match_reference(values, params, domain=None, group=None):
@@ -437,6 +437,24 @@ class TestMembers:
             half = x[: x.size // 2 + 1]
             group = np.repeat([0, 2], [x.size, half.size])
             assert_members_match_reference(np.concatenate((x, half)), params, group=group)
+
+    @pytest.mark.parametrize("policy", POLICIES[:2])
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_peak_allocation_stays_within_two_arrays(self, ring, policy):
+        # every point a member, in one cluster: equal values on a line, or
+        # evenly spaced points whose chain closes around the ring.  The
+        # positions and the cluster of each are the two N-arrays; under
+        # AS_NOISE the non-core mask and the kept copies come on top
+        if ring:
+            x = np.arange(PEAK_N) * (4000.0 / PEAK_N)
+            params = DbscanParams(2.0 * 4000.0 / PEAK_N, 3, policy)
+            domain = CircularDomain(4000.0)
+        else:
+            x, params, domain = np.zeros(PEAK_N), DbscanParams(0.5, 4, policy), None
+        assert peak_allocation(lambda: _members(x, params, domain, None)) <= two_arrays(PEAK_N)
+        pos, cluster, lo = _members(x, params, domain, None)
+        np.testing.assert_array_equal(pos, np.arange(PEAK_N))
+        assert not cluster.any() and lo.tolist() == [0]
 
 
 @st.composite
@@ -743,6 +761,56 @@ def peak_allocation(run):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def assert_labels_follow_ranges(x, eps, period, mp, policy):
+    """Each label is the largest id among the clusters whose range, taken
+    modulo n, covers the point; every other point is NOISE, and so is
+    every non-core under AS_NOISE."""
+    params = DbscanParams(eps, mp, policy)
+    if period is None:
+        labels, clusters = dbscan_1d(x, params)
+        lower, upper = calculate_neighborhood(x, eps)
+    else:
+        domain = CircularDomain(period)
+        labels, clusters = dbscan_1d_circular(x, params, domain)
+        lower, upper = calculate_neighborhood_circular(x, eps, domain)
+    want = np.full(x.size, NOISE, np.int64)
+    for cluster in clusters:  # ascending ids: a later cluster overwrites
+        want[cluster.indices(x.size)] = cluster.id
+    if policy is BorderPolicy.AS_NOISE:
+        want[upper - lower < mp - 1] = NOISE
+    np.testing.assert_array_equal(labels, want)
+
+
+class TestLabelRule:
+    """The labels follow from the public ranges by one rule under every
+    policy; only ALL_CLUSTERS has ranges that share points."""
+
+    def test_seeded_fuzz(self):
+        for case in fuzz_cases(3_000, seed=29):
+            assert_labels_follow_ranges(*case)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_lattice_and_seam(self, policy):
+        # on a lattice of 2n slots holding n points, eps of 2-4 steps
+        # leaves border points that two clusters reach (13-31 of the
+        # ALL_CLUSTERS ranges overlap their successor), and one cluster
+        # crosses the seam; the seam groups close across it, and the last
+        # two rings have border points contested across it
+        x = np.sort(np.random.default_rng(12).integers(0, 40_000, 20_000)) * 0.1
+        for k, mp in ((2, 4), (3, 6), (4, 8)):
+            assert_labels_follow_ranges(x, 0.1 * k, None, mp, policy)
+            assert_labels_follow_ranges(x, 0.1 * k, 4000.0, mp, policy)
+        x = seam_group(20_000, seed=11)
+        for eps, mp in ((0.0003, 3), (0.001, 5), (0.01, 40)):
+            assert_labels_follow_ranges(x, eps, None, mp, policy)
+            assert_labels_follow_ranges(x, eps, 4000.0, mp, policy)
+        low = [0.0, 0.07, 0.09, 0.11, 0.11, 0.16, 0.16, 0.19]
+        high = [6.073, 6.073, 6.093, 6.093, 6.123, 6.133, 6.163, 6.183]
+        assert_labels_follow_ranges(np.array(low + high), 0.1, TWO_PI, 5, policy)
+        x = np.array([0.0336, 0.0910, 0.1549, 0.1699, 0.1872, 6.1526, 6.1660, 6.1955, 6.2028, 6.2486])
+        assert_labels_follow_ranges(x, 0.1, TWO_PI, 4, policy)
 
 
 @st.composite
